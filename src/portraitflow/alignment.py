@@ -9,7 +9,7 @@ block mask, which is the oracle used throughout the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -58,29 +58,6 @@ def segment_audio(l: int, f: int) -> AudioVideoMap:
         raise ValueError(f"no audio token for some frame: l={l} < f={f}")
     boundaries = tuple((2 * i * l + f) // (2 * f) for i in range(f + 1))
     return AudioVideoMap(frames=f, boundaries=boundaries)
-
-
-def reshape_frame_level(video: Tensor, audio: Tensor,
-                        mapping: AudioVideoMap) -> List[Tuple[Tensor, Tensor]]:
-    """Split clip-level sequences into per-frame (visual, audio) pairs.
-
-    `video` is [(f*h*w) x c] in frame-major layout, `audio` is [l x c_a].
-    Concatenating the returned pieces reproduces the inputs bit-exactly.
-    """
-    n_video = video.shape[0]
-    if n_video % mapping.frames != 0:
-        raise ValueError(
-            f"video tokens ({n_video}) not divisible by frame count ({mapping.frames})")
-    if audio.shape[0] != mapping.audio_tokens:
-        raise ValueError(
-            f"audio length {audio.shape[0]} does not match map end {mapping.audio_tokens}")
-    per_frame = n_video // mapping.frames
-    pairs = []
-    for i in range(mapping.frames):
-        lo, hi = mapping.boundaries[i], mapping.boundaries[i + 1]
-        pairs.append((video.narrow(0, i * per_frame, per_frame),
-                      audio.narrow(0, lo, hi - lo)))
-    return pairs
 
 
 def block_mask(mapping: AudioVideoMap, h: int, w: int) -> Tensor:

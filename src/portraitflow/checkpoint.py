@@ -17,10 +17,11 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .config import configs_to_flat, dump_flat, flat_to_configs, parse_flat
+from .config import _EXTRA_KEYS, configs_to_flat, dump_flat, flat_to_configs, parse_flat
 from .encoders import EncoderParams
 from .motion import MotionNorm
 from .numerics import Tensor
+from .numerics.serialize import _file_end, _read_exact, _read_f32, _read_shape
 from .training import Adam, TrainerState
 
 MAGIC = b"PFCK"
@@ -81,33 +82,34 @@ def save_checkpoint(path, state: TrainerState) -> None:
 def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
     """Parse a checkpoint into (flat config values, named arrays)."""
     with open(path, "rb") as fh:
+        end = _file_end(fh)
         if fh.read(4) != MAGIC:
             raise ValueError(f"{Path(path).name}: not a checkpoint file")
-        version = struct.unpack("<I", fh.read(4))[0]
+        version = struct.unpack("<I", _read_exact(fh, 4, end))[0]
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"{Path(path).name}: format version {version} unsupported "
                 f"(expected {FORMAT_VERSION})")
-        header_len = struct.unpack("<Q", fh.read(8))[0]
-        flat = parse_flat(fh.read(header_len).decode("utf-8"))
-        count = struct.unpack("<I", fh.read(4))[0]
+        header_len = struct.unpack("<Q", _read_exact(fh, 8, end))[0]
+        flat = parse_flat(_read_exact(fh, header_len, end).decode("utf-8"))
+        missing = sorted(set(_EXTRA_KEYS) - set(flat))
+        if missing:
+            raise ValueError(f"{Path(path).name}: header lacks {', '.join(missing)}")
+        count = struct.unpack("<I", _read_exact(fh, 4, end))[0]
         directory = []
         for _ in range(count):
-            name_len = struct.unpack("<H", fh.read(2))[0]
-            name = fh.read(name_len).decode("utf-8")
-            ndim = struct.unpack("<I", fh.read(4))[0]
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            offset = struct.unpack("<Q", fh.read(8))[0]
+            name_len = struct.unpack("<H", _read_exact(fh, 2, end))[0]
+            name = _read_exact(fh, name_len, end).decode("utf-8")
+            shape = _read_shape(fh, end)
+            offset = struct.unpack("<Q", _read_exact(fh, 8, end))[0]
             directory.append((name, shape, offset))
         base = fh.tell()
         tensors = {}
         for name, shape, offset in directory:
-            fh.seek(base + offset)
-            n = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * n)
-            if len(raw) != 4 * n:
+            if offset > end - base:
                 raise EOFError(f"truncated payload for tensor {name!r}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+            fh.seek(base + offset)
+            tensors[name] = _read_f32(fh, shape, end)
     return flat, tensors
 
 

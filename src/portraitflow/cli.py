@@ -19,19 +19,12 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
-from .config import config_schema, configs_to_flat, dump_flat, parse_flat
-from .encoders import EncoderConfig
+from .config import configs_to_flat, flat_to_configs, parse_flat
 from .evalmetrics import evaluate_model, write_report
-from .model import DiTConfig, param_count
 from .numerics import load_tensor, save_tensor
 from .sampling import SampleConfig, sample
 from .synthdata import SynthConfig, make_corpus_specs, read_dataset, write_dataset
-from .training import TrainConfig, run_two_stage
-
-# DiT fields freely settable by the user; the rest are derived from the
-# encoder geometry and must agree with it.
-_FREE_DIT_FIELDS = ("depth", "width", "heads", "head_dim", "n_id",
-                    "lambda_audio", "lambda_identity", "mlp_ratio")
+from .training import run_two_stage
 
 
 def write_ppm(path, frame: np.ndarray) -> None:
@@ -48,36 +41,6 @@ def _write_record(out_dir: Path, command: str, payload: Dict) -> None:
     record = {"tool": "portraitflow", "version": __version__, "command": command}
     record.update(payload)
     (out_dir / "run_record.json").write_text(json.dumps(record, indent=1))
-
-
-def _build_configs(flat: Dict[str, object]):
-    """Construct (dit, enc, train) from flat keys, deriving the geometry-
-    dependent DiT fields from the encoder config."""
-    enc_kwargs = {k.split(".", 1)[1]: v for k, v in flat.items() if k.startswith("enc.")}
-    enc = EncoderConfig(**enc_kwargs)
-    derived = DiTConfig.for_encoders(enc)
-    dit_kwargs = {}
-    for key, value in flat.items():
-        if not key.startswith("dit."):
-            continue
-        name = key.split(".", 1)[1]
-        if name in _FREE_DIT_FIELDS:
-            dit_kwargs[name] = value
-        elif value != getattr(derived, name):
-            raise ValueError(
-                f"config key {key}={value} conflicts with encoder-derived "
-                f"value {getattr(derived, name)}")
-    if "head_dim" not in dit_kwargs and ("width" in dit_kwargs or "heads" in dit_kwargs):
-        width = dit_kwargs.get("width", derived.width)
-        heads = dit_kwargs.get("heads", derived.heads)
-        if width % heads:
-            raise ValueError(f"width {width} not divisible by heads {heads}")
-        dit_kwargs["head_dim"] = width // heads
-    dit = dataclasses.replace(derived, **dit_kwargs) if dit_kwargs else derived
-    train_kwargs = {k.split(".", 1)[1]: v
-                    for k, v in flat.items() if k.startswith("train.")}
-    train = TrainConfig(**train_kwargs)
-    return dit, enc, train
 
 
 def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
@@ -122,7 +85,7 @@ def cmd_train(args) -> int:
     flat.setdefault("enc.frames", synth.frames)
     flat.setdefault("enc.height", synth.height)
     flat.setdefault("enc.width", synth.width)
-    dit, enc, train = _build_configs(flat)
+    dit, enc, train = flat_to_configs(flat)
 
     holdout = args.holdout
     if holdout >= len(samples):

@@ -4,7 +4,8 @@ One `section.key = value` pair per line; `#` starts a comment. The
 schema is derived from the three config dataclasses (sections "dit",
 "enc", "train"), so every key has a declared type and unknown keys are
 rejected. Floats are written with repr, which round-trips exactly.
-Environment variables are never consulted.
+Environment variables are never consulted. The retired keys that older
+checkpoints still carry are dropped at their one working value.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ from .model import DiTConfig
 from .training import TrainConfig
 
 SECTIONS = {"dit": DiTConfig, "enc": EncoderConfig, "train": TrainConfig}
+
+_RETIRED_KEYS = {"train.optimizer": "adam", "enc.temporal_stride": 1}
+
+# DiT fields freely settable by the user; the rest are derived from the
+# encoder geometry and must agree with it.
+_FREE_DIT_FIELDS = ("depth", "width", "heads", "head_dim", "n_id",
+                    "lambda_audio", "lambda_identity", "mlp_ratio")
 
 _EXTRA_KEYS = {
     "norm.facial_min": float, "norm.facial_max": float,
@@ -73,6 +81,12 @@ def parse_flat(text: str) -> Dict[str, object]:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _RETIRED_KEYS:
+            kept = _RETIRED_KEYS[key]
+            if raw != format_value(kept):
+                raise ValueError(f"line {lineno}: retired key {key} only "
+                                 f"accepts {format_value(kept)}, got {raw!r}")
+            continue
         if key not in schema:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
@@ -93,12 +107,27 @@ def configs_to_flat(dit: DiTConfig, enc: EncoderConfig,
 
 def flat_to_configs(flat: Dict[str, object]
                     ) -> Tuple[DiTConfig, EncoderConfig, TrainConfig]:
-    built = []
-    for section, cls in SECTIONS.items():
-        kwargs = {}
-        for field in dataclasses.fields(cls):
-            key = f"{section}.{field.name}"
-            if key in flat:
-                kwargs[field.name] = flat[key]
-        built.append(cls(**kwargs))
-    return tuple(built)
+    """Build (dit, enc, train), deriving the DiT geometry from the encoder
+    config: a conflicting dit key is rejected, a missing head_dim inferred."""
+    def section(name: str) -> Dict[str, object]:
+        return {k.split(".", 1)[1]: v for k, v in flat.items()
+                if k.startswith(name + ".")}
+
+    enc = EncoderConfig(**section("enc"))
+    derived = DiTConfig.for_encoders(enc)
+    dit_kwargs = {}
+    for name, value in section("dit").items():
+        if name in _FREE_DIT_FIELDS:
+            dit_kwargs[name] = value
+        elif value != getattr(derived, name):
+            raise ValueError(
+                f"config key dit.{name}={value} conflicts with encoder-derived "
+                f"value {getattr(derived, name)}")
+    if "head_dim" not in dit_kwargs and ("width" in dit_kwargs or "heads" in dit_kwargs):
+        width = dit_kwargs.get("width", derived.width)
+        heads = dit_kwargs.get("heads", derived.heads)
+        if width % heads:
+            raise ValueError(f"width {width} not divisible by heads {heads}")
+        dit_kwargs["head_dim"] = width // heads
+    dit = dataclasses.replace(derived, **dit_kwargs)
+    return dit, enc, TrainConfig(**section("train"))

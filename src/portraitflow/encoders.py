@@ -24,7 +24,6 @@ class EncoderConfig:
     height: int = 32
     width: int = 32
     patch: int = 8
-    temporal_stride: int = 1
     tokens_per_frame: int = 4        # audio tokens per latent frame
     samples_per_token: int = 64      # envelope samples per audio token
     audio_width: int = 32            # c_a
@@ -38,12 +37,10 @@ class EncoderConfig:
         if self.height % self.patch or self.width % self.patch:
             raise ValueError(
                 f"frame size {self.height}x{self.width} not divisible by patch {self.patch}")
-        if self.frames % self.temporal_stride:
-            raise ValueError("frame count not divisible by temporal stride")
 
     @property
     def latent_frames(self) -> int:
-        return -(-self.frames // self.temporal_stride)
+        return self.frames
 
     @property
     def latent_h(self) -> int:
@@ -55,7 +52,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.patch * self.patch * 3 * self.temporal_stride
+        return self.patch * self.patch * 3
 
     @property
     def latent_width(self) -> int:
@@ -69,10 +66,6 @@ class EncoderConfig:
     @property
     def audio_tokens(self) -> int:
         return self.tokens_per_frame * self.latent_frames
-
-    @property
-    def id_feat_tokens(self) -> int:
-        return (self.crop_size // 4) ** 2
 
 
 @dataclass
@@ -91,36 +84,6 @@ class PixelVideo:
     @property
     def frames(self) -> int:
         return self.data.shape[0]
-
-
-@dataclass
-class LatentVideoTokens:
-    """Patchified video: [f*h*w x c] in frame-major, row-major-spatial order."""
-
-    f: int
-    h: int
-    w: int
-    c: int
-    data: Tensor
-
-
-@dataclass
-class AudioTokenSequence:
-    """[l x c_a] feature tokens; token i is a function of envelope window i only."""
-
-    l: int
-    c_a: int
-    samples_per_token: int
-    data: Tensor
-
-
-@dataclass
-class IdentityTokens:
-    """[n_id x c] embedding of the reference face crop."""
-
-    n_id: int
-    c: int
-    data: Tensor
 
 
 @dataclass
@@ -169,24 +132,21 @@ def init_encoder_params(config: EncoderConfig, rng: RngState) -> EncoderParams:
 def extract_patches(video: np.ndarray, config: EncoderConfig) -> np.ndarray:
     """Rearrange [F,H,W,3] pixels into [f*h*w x patch_dim], frame-major."""
     F, H, W, _ = video.shape
-    p, s = config.patch, config.temporal_stride
-    f, h, w = F // s, H // p, W // p
-    x = video.reshape(f, s, h, p, w, p, 3)
-    x = x.transpose(0, 2, 4, 1, 3, 5, 6)  # f, h, w, s, p, p, 3
-    return x.reshape(f * h * w, s * p * p * 3)
+    p = config.patch
+    h, w = H // p, W // p
+    x = video.reshape(F, h, p, w, p, 3)
+    x = x.transpose(0, 1, 3, 2, 4, 5)  # f, h, w, p, p, 3
+    return x.reshape(F * h * w, p * p * 3)
 
 
 def patchify_video(video: PixelVideo, params: EncoderParams,
-                   config: EncoderConfig) -> LatentVideoTokens:
-    F, H, W, _ = video.data.shape
+                   config: EncoderConfig) -> np.ndarray:
+    """[f*h*w x c_lat] float32 tokens in frame-major, row-major-spatial order."""
+    _, H, W, _ = video.data.shape
     if H % config.patch or W % config.patch:
         raise ValueError(f"video {H}x{W} not divisible by patch size {config.patch}")
-    if F % config.temporal_stride:
-        raise ValueError(f"frame count {F} not divisible by stride {config.temporal_stride}")
     patches = extract_patches(video.data.astype(np.float64), config)
-    tokens = patches @ params.patch_w + params.patch_b
-    f, h, w = F // config.temporal_stride, H // config.patch, W // config.patch
-    return LatentVideoTokens(f=f, h=h, w=w, c=tokens.shape[-1], data=Tensor(tokens))
+    return (patches @ params.patch_w + params.patch_b).astype(np.float32)
 
 
 def unpatchify_video(tokens: np.ndarray, params: EncoderParams, config: EncoderConfig,
@@ -194,10 +154,10 @@ def unpatchify_video(tokens: np.ndarray, params: EncoderParams, config: EncoderC
     """Inverse of `patchify_video` up to the linear map (exact for the
     identity embedding)."""
     patches = (np.asarray(tokens, dtype=np.float64) - params.patch_b) @ params.unpatch_w
-    p, s = config.patch, config.temporal_stride
-    x = patches.reshape(f, h, w, s, p, p, 3)
-    x = x.transpose(0, 3, 1, 4, 2, 5, 6)
-    return PixelVideo(x.reshape(f * s, h * p, w * p, 3).astype(np.float32))
+    p = config.patch
+    x = patches.reshape(f, h, w, p, p, 3)
+    x = x.transpose(0, 1, 3, 2, 4, 5)
+    return PixelVideo(x.reshape(f, h * p, w * p, 3).astype(np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -226,12 +186,10 @@ def audio_window_features(envelope: np.ndarray, tokens: int,
 
 
 def encode_audio(envelope: np.ndarray, params: EncoderParams,
-                 config: EncoderConfig) -> AudioTokenSequence:
+                 config: EncoderConfig) -> np.ndarray:
+    """[l x c_a] float32 tokens; token i is a function of envelope window i only."""
     feats = audio_window_features(envelope, config.audio_tokens, config.samples_per_token)
-    tokens = feats @ params.audio_w + params.audio_b
-    return AudioTokenSequence(l=config.audio_tokens, c_a=config.audio_width,
-                              samples_per_token=config.samples_per_token,
-                              data=Tensor(tokens))
+    return (feats @ params.audio_w + params.audio_b).astype(np.float32)
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +230,6 @@ def identity_attend(features: Tensor, params: Dict[str, Tensor]) -> Tensor:
     v = features @ params["id.wv"] + params["id.wv_b"]
     out = attention(params["id.queries"], k, v)
     return out @ params["id.wo"] + params["id.wo_b"]
-
-
-def encode_identity(crop: np.ndarray, enc_params: EncoderParams,
-                    model_params: Dict[str, Tensor],
-                    config: EncoderConfig) -> IdentityTokens:
-    feats = identity_conv_features(crop, enc_params, config)
-    tokens = identity_attend(Tensor(feats), model_params)
-    return IdentityTokens(n_id=tokens.shape[-2], c=tokens.shape[-1], data=tokens)
 
 
 def crop_face(frame: np.ndarray, config: EncoderConfig) -> np.ndarray:

@@ -142,11 +142,10 @@ def identity_embedder(state) -> Callable[[np.ndarray], np.ndarray]:
     return embed
 
 
-def evaluate_model(state, samples: Sequence, sample_cfg,
-                   use_sample_motion: bool = True) -> Tuple[MetricReport, list]:
+def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, list]:
     """Generate one video per held-out sample (conditioned on its
-    reference frame, envelope and, by default, its recorded motion
-    coefficients) and score it against the sample's ground truth."""
+    reference frame, envelope and recorded motion coefficients) and
+    score it against the sample's ground truth."""
     import dataclasses
 
     from .sampling import sample as run_sampler
@@ -156,13 +155,8 @@ def evaluate_model(state, samples: Sequence, sample_cfg,
     enc = state.enc
     rows = []
     for i, item in enumerate(samples):
-        cfg = sample_cfg
-        if use_sample_motion:
-            cfg = dataclasses.replace(sample_cfg, omega_l=item.spec.omega_l,
-                                      omega_b=item.spec.omega_b,
-                                      seed=sample_cfg.seed + i)
-        else:
-            cfg = dataclasses.replace(sample_cfg, seed=sample_cfg.seed + i)
+        cfg = dataclasses.replace(sample_cfg, omega_l=item.spec.omega_l,
+                                  omega_b=item.spec.omega_b, seed=sample_cfg.seed + i)
         reference = item.video[0]
         video, info = run_sampler(reference, item.envelope, cfg, state)
 

@@ -4,15 +4,7 @@ from .functional import LAYER_NORM_EPS, attention, layer_norm, silu, softmax_las
 from .gradcheck import grad_check
 from .rng import RngState
 from .serialize import load_tensor, save_tensor
-from .tensor import (
-    Tensor,
-    concat,
-    default_dtype,
-    no_grad,
-    precision,
-    set_default_dtype,
-    stack,
-)
+from .tensor import Tensor, concat, no_grad, precision
 
 __all__ = [
     "LAYER_NORM_EPS",
@@ -20,15 +12,12 @@ __all__ = [
     "Tensor",
     "attention",
     "concat",
-    "default_dtype",
     "grad_check",
     "layer_norm",
     "load_tensor",
     "no_grad",
     "precision",
     "save_tensor",
-    "set_default_dtype",
     "silu",
     "softmax_lastaxis",
-    "stack",
 ]

@@ -93,7 +93,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None) ->
         raise ValueError(f"q/k widths differ: {q.data.shape} vs {k.data.shape}")
     if v.data.shape[-2] != k.data.shape[-2]:
         raise ValueError(f"k/v lengths differ: {k.data.shape} vs {v.data.shape}")
-    scores = (q @ k.swap_last()) * (1.0 / float(np.sqrt(head_dim)))
+    swap_last = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = (q @ k.transpose(swap_last)) * (1.0 / float(np.sqrt(head_dim)))
     if mask is not None:
         mask = Tensor._wrap(mask)
         blocked = np.isneginf(mask.data)

@@ -1,53 +1,45 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Tensors hold row-major numpy arrays in the run-wide compute dtype
-(float32 by default, float64 selectable for gradient checks via
-`set_default_dtype` or the `precision` context manager). Gradients are
-accumulated, never overwritten, so shared parameters work.
+Tensors hold row-major numpy arrays in the calling thread's compute
+dtype (float32 by default, float64 inside a `precision("f64")` block, as
+gradient checks use). Gradients are accumulated, never overwritten, so
+shared parameters work.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_STATE = {"dtype": np.float32, "grad": True}
-
-
-def set_default_dtype(name: str) -> None:
-    """Select the run-wide compute dtype, "f32" or "f64"."""
-    if name not in _DTYPES:
-        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(_DTYPES)}")
-    _STATE["dtype"] = _DTYPES[name]
+# Per-thread state: a `no_grad` or `precision` block affects only its own thread.
+_DTYPE = ContextVar("portraitflow_dtype", default=np.float32)
+_GRAD = ContextVar("portraitflow_grad", default=True)
 
 
 @contextmanager
 def no_grad():
     """Skip graph construction inside the block (inference speed)."""
-    previous = _STATE["grad"]
-    _STATE["grad"] = False
+    token = _GRAD.set(False)
     try:
         yield
     finally:
-        _STATE["grad"] = previous
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_STATE["dtype"])
+        _GRAD.reset(token)
 
 
 @contextmanager
 def precision(name: str):
-    """Temporarily switch the run-wide compute dtype."""
-    previous = _STATE["dtype"]
-    set_default_dtype(name)
+    """Temporarily switch the calling thread's compute dtype, "f32" or "f64"."""
+    if name not in _DTYPES:
+        raise ValueError(f"unknown dtype {name!r}, expected one of {sorted(_DTYPES)}")
+    token = _DTYPE.set(_DTYPES[name])
     try:
         yield
     finally:
-        _STATE["dtype"] = previous
+        _DTYPE.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -73,7 +65,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False,
                  _parents: tuple = (), _backward=None):
-        self.data = np.asarray(data, dtype=_STATE["dtype"])
+        self.data = np.asarray(data, dtype=_DTYPE.get())
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
@@ -97,15 +89,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.astype(self.data.dtype, copy=True)
@@ -125,7 +108,7 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: Sequence["Tensor"], backward) -> "Tensor":
-        if _STATE["grad"] and any(p.requires_grad or p._parents for p in parents):
+        if _GRAD.get() and any(p.requires_grad or p._parents for p in parents):
             return Tensor(data, _parents=tuple(parents), _backward=backward)
         return Tensor(data)
 
@@ -251,15 +234,6 @@ class Tensor:
 
         return self._result(np.transpose(a.data, axes), (a,), backward)
 
-    def swap_last(self) -> "Tensor":
-        """Swap the trailing two axes."""
-        a = self
-
-        def backward(g):
-            a._accumulate(np.swapaxes(g, -1, -2))
-
-        return self._result(np.swapaxes(a.data, -1, -2), (a,), backward)
-
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         """Contiguous slice [start, start+length) along `axis`."""
         a = self
@@ -313,14 +287,3 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return Tensor._result(out_data, tensors, backward)
 
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        parts = np.split(g, len(tensors), axis=axis)
-        for t, part in zip(tensors, parts):
-            t._accumulate(np.squeeze(part, axis=axis))
-
-    return Tensor._result(out_data, tensors, backward)

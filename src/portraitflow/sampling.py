@@ -76,11 +76,11 @@ def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
                       envelope: np.ndarray, cfg: SampleConfig) -> ConditioningBundle:
     enc, params = state.enc, state.params
     ref_video = PixelVideo(reference_frame[None].astype(np.float32))
-    lat = patchify_video(ref_video, state.enc_params, enc)
     hw = enc.latent_h * enc.latent_w
-    ref_tokens = np.tile(lat.data.numpy()[:hw], (enc.latent_frames, 1))[None]
+    ref_tokens = np.tile(patchify_video(ref_video, state.enc_params, enc)[:hw],
+                         (enc.latent_frames, 1))[None]
 
-    audio = encode_audio(envelope, state.enc_params, enc).data.numpy()[None]
+    audio = encode_audio(envelope, state.enc_params, enc)[None]
     feats = identity_conv_features(crop_face(reference_frame, enc),
                                    state.enc_params, enc)[None]
     identity = identity_attend(Tensor(feats), params)

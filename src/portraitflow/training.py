@@ -47,7 +47,6 @@ class TrainConfig:
     dropout_reference: float = 0.1
     batch_size: int = 8
     seed: int = 0
-    optimizer: str = "adam"  # fixed: Adam(beta1=0.9, beta2=0.999, eps=1e-8), constant lr
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
@@ -55,8 +54,6 @@ class TrainConfig:
         for name in ("dropout_audio", "dropout_identity", "dropout_reference"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.optimizer != "adam":
-            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
 
     @property
     def total_steps(self) -> int:
@@ -89,14 +86,6 @@ class LossReport:
 
 def _as_array(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def ddpm_noise(z, eps, alpha_t: float) -> Tensor:
-    """Classic noising: sqrt(a)*z + sqrt(1-a)*eps."""
-    if not 0.0 <= alpha_t <= 1.0:
-        raise ValueError(f"alpha_t must lie in [0, 1], got {alpha_t}")
-    z, eps = _as_array(z), _as_array(eps)
-    return Tensor(np.sqrt(alpha_t) * z + np.sqrt(1.0 - alpha_t) * eps)
 
 
 def flow_noise_and_target(z, eps, t) -> Tuple[Tensor, Tensor]:
@@ -245,12 +234,10 @@ def prepare_training_tensors(samples: Sequence, enc_params: EncoderParams,
     latents, references, audio, id_feats, masks, omegas = [], [], [], [], [], []
     hw = enc.latent_h * enc.latent_w
     for sample in samples:
-        lat = patchify_video(PixelVideo(sample.video), enc_params, enc)
-        tokens = lat.data.numpy().astype(np.float32)
+        tokens = patchify_video(PixelVideo(sample.video), enc_params, enc)
         latents.append(tokens)
         references.append(np.tile(tokens[:hw], (enc.latent_frames, 1)))
-        audio.append(encode_audio(sample.envelope, enc_params, enc)
-                     .data.numpy().astype(np.float32))
+        audio.append(encode_audio(sample.envelope, enc_params, enc))
         crop = crop_face(sample.video[0], enc)
         id_feats.append(identity_conv_features(crop, enc_params, enc).astype(np.float32))
         masks.append(project_mask_trilinear(

@@ -1,4 +1,4 @@
-"""Audio segmentation, frame pairing, block masks, trilinear projection."""
+"""Audio segmentation, block masks, trilinear projection."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from portraitflow.alignment import (
     AudioVideoMap,
     block_mask,
     project_mask_trilinear,
-    reshape_frame_level,
     segment_audio,
 )
-from portraitflow.numerics import Tensor, attention, concat
+from portraitflow.numerics import Tensor, attention
 
 
 class TestSegmentAudio:
@@ -39,45 +38,6 @@ class TestSegmentAudio:
                 lengths = m.segment_lengths()
                 assert all(n >= 1 for n in lengths)
                 assert sum(lengths) == l
-
-
-class TestReshapeFrameLevel:
-    def test_single_frame_equals_clip_pairing(self):
-        rng = np.random.default_rng(0)
-        video = Tensor(rng.standard_normal((6, 3)))
-        audio = Tensor(rng.standard_normal((4, 2)))
-        pairs = reshape_frame_level(video, audio, segment_audio(4, 1))
-        assert len(pairs) == 1
-        assert np.array_equal(pairs[0][0].numpy(), video.numpy())
-        assert np.array_equal(pairs[0][1].numpy(), audio.numpy())
-
-    def test_round_trip_is_identity(self):
-        rng = np.random.default_rng(1)
-        video = Tensor(rng.standard_normal((12, 3)))
-        audio = Tensor(rng.standard_normal((10, 2)))
-        mapping = segment_audio(10, 4)
-        pairs = reshape_frame_level(video, audio, mapping)
-        video_back = concat([p[0] for p in pairs], axis=0)
-        audio_back = concat([p[1] for p in pairs], axis=0)
-        assert np.array_equal(video_back.numpy(), video.numpy())
-        assert np.array_equal(audio_back.numpy(), audio.numpy())
-
-    def test_enumerated_layout(self):
-        # f=2, h=w=1, l=4: frame 0 <- tokens {0,1}, frame 1 <- tokens {2,3}
-        video = Tensor(np.arange(2, dtype=float).reshape(2, 1))
-        audio = Tensor(np.arange(4, dtype=float).reshape(4, 1))
-        pairs = reshape_frame_level(video, audio, segment_audio(4, 2))
-        assert pairs[0][1].numpy().ravel().tolist() == [0.0, 1.0]
-        assert pairs[1][1].numpy().ravel().tolist() == [2.0, 3.0]
-
-    def test_inconsistent_map_rejected(self):
-        video = Tensor(np.zeros((6, 3)))
-        audio = Tensor(np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="audio length"):
-            reshape_frame_level(video, audio, segment_audio(4, 2))
-        with pytest.raises(ValueError, match="not divisible"):
-            reshape_frame_level(Tensor(np.zeros((7, 3))), Tensor(np.zeros((4, 2))),
-                                segment_audio(4, 2))
 
 
 class TestBlockMask:

@@ -1,14 +1,20 @@
-"""Checkpoint round trips and exact resume."""
+"""Checkpoint round trips, exact resume and malformed files."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from portraitflow.checkpoint import (
     FORMAT_VERSION,
+    MAGIC,
     load_checkpoint,
     read_checkpoint_raw,
     save_checkpoint,
 )
+from portraitflow.cli import main
 from portraitflow.encoders import EncoderConfig
 from portraitflow.model import DiTConfig
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
@@ -112,3 +118,81 @@ class TestResume:
         for name in full_state.params:
             assert np.array_equal(full_state.params[name].data,
                                   resumed_state.params[name].data), name
+
+
+@pytest.fixture(scope="module")
+def saved_bytes(tiny_samples, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.pfck"
+    save_checkpoint(path, trained_state(tiny_samples))
+    return path.read_bytes()
+
+
+def _with_header(raw: bytes, edit) -> bytes:
+    """Rewrite a checkpoint's header text with `edit` (str -> str)."""
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = edit(raw[16:16 + length].decode("utf-8")).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + length:]
+
+
+def _inspect_fails_cleanly(path, capsys) -> None:
+    assert main(["inspect", "--ckpt", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("where", ["10 bytes", "mid-header", "mid-directory",
+                                       "mid-payload"])
+    def test_truncated_checkpoint_fails_cleanly(self, saved_bytes, tmp_path, capsys,
+                                                where):
+        (header_len,) = struct.unpack("<Q", saved_bytes[8:16])
+        cut = {"10 bytes": 10, "mid-header": 16 + header_len // 2,
+               "mid-directory": 16 + header_len + 4 + 7,
+               "mid-payload": len(saved_bytes) - 10}[where]
+        path = tmp_path / "cut.pfck"
+        path.write_bytes(saved_bytes[:cut])
+        _inspect_fails_cleanly(path, capsys)
+
+    def test_retired_header_keys(self, saved_bytes, tmp_path, capsys):
+        # every checkpoint written before these keys were retired carries them
+        current, old = tmp_path / "current.pfck", tmp_path / "old.pfck"
+        current.write_bytes(saved_bytes)
+        old.write_bytes(_with_header(
+            saved_bytes, lambda h: h + "enc.temporal_stride = 1\ntrain.optimizer = adam\n"))
+        a, b = load_checkpoint(current), load_checkpoint(old)
+        assert (a.dit, a.enc, a.train, a.step) == (b.dit, b.enc, b.train, b.step)
+        assert main(["inspect", "--ckpt", str(old)]) == 0
+        for line in ("train.optimizer = sgd\n", "enc.temporal_stride = 2\n"):
+            old.write_bytes(_with_header(saved_bytes, lambda h: h + line))
+            _inspect_fails_cleanly(old, capsys)
+
+    def test_header_without_step_counters_fails_cleanly(self, saved_bytes, tmp_path,
+                                                         capsys):
+        path = tmp_path / "nostep.pfck"
+        path.write_bytes(_with_header(saved_bytes, lambda h: "".join(
+            line for line in h.splitlines(True) if not line.startswith("state.step"))))
+        _inspect_fails_cleanly(path, capsys)
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(prefix=st.sampled_from([b"", MAGIC, MAGIC + struct.pack("<I", FORMAT_VERSION)]),
+           body=st.binary(max_size=96))
+    def test_any_bytes_parse_or_raise(self, tmp_path, prefix, body):
+        path = tmp_path / "fuzz.pfck"
+        path.write_bytes(prefix + body)
+        try:
+            read_checkpoint_raw(path)
+        except (ValueError, EOFError):
+            pass
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupted_checkpoint_parses_or_raises(self, saved_bytes, tmp_path, data):
+        raw = bytearray(saved_bytes)
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        path = tmp_path / "corrupt.pfck"
+        path.write_bytes(bytes(raw[:data.draw(st.integers(0, len(raw)))]))
+        try:
+            read_checkpoint_raw(path)
+        except (ValueError, EOFError):
+            pass

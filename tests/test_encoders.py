@@ -10,7 +10,7 @@ from portraitflow.encoders import (
     audio_window_features,
     crop_face,
     encode_audio,
-    encode_identity,
+    identity_attend,
     identity_conv_features,
     init_encoder_params,
     patchify_video,
@@ -32,28 +32,27 @@ def params16(enc16):
 class TestPatchify:
     def test_stride_arithmetic(self, enc16, params16):
         video = PixelVideo(np.zeros((8, 16, 16, 3), dtype=np.float32))
-        lat = patchify_video(video, params16, enc16)
-        assert (lat.f, lat.h, lat.w) == (8, 4, 4)
-        assert lat.data.shape[0] == 128
+        tokens = patchify_video(video, params16, enc16)
+        assert tokens.shape == (8 * 4 * 4, enc16.patch_dim)
+        assert tokens.dtype == np.float32
 
     def test_zero_video_zero_bias_gives_zero_tokens(self, enc16, params16):
         video = PixelVideo(np.zeros((8, 16, 16, 3), dtype=np.float32))
-        lat = patchify_video(video, params16, enc16)
-        assert (lat.data.numpy() == 0.0).all()
+        assert (patchify_video(video, params16, enc16) == 0.0).all()
 
     def test_identity_embedding_round_trip_exact(self, enc16, params16):
         rng = np.random.default_rng(0)
         video = PixelVideo(rng.random((8, 16, 16, 3)).astype(np.float32))
-        lat = patchify_video(video, params16, enc16)
-        back = unpatchify_video(lat.data.numpy(), params16, enc16, lat.f, lat.h, lat.w)
+        tokens = patchify_video(video, params16, enc16)
+        back = unpatchify_video(tokens, params16, enc16, 8, 4, 4)
         assert np.array_equal(back.data, video.data)
 
     def test_frame_major_layout(self, enc16, params16):
         # token index f*(h*w) + r*w + c holds exactly frame f's patch (r, c)
         video = np.zeros((8, 16, 16, 3), dtype=np.float32)
         video[3, 8:12, 4:8, :] = 1.0  # frame 3, patch row 2, patch col 1
-        lat = patchify_video(PixelVideo(video), params16, enc16)
-        hot = np.flatnonzero(np.abs(lat.data.numpy()).sum(axis=1))
+        tokens = patchify_video(PixelVideo(video), params16, enc16)
+        hot = np.flatnonzero(np.abs(tokens).sum(axis=1))
         assert hot.tolist() == [3 * 16 + 2 * 4 + 1]
 
     def test_indivisible_dimensions_rejected(self):
@@ -66,7 +65,7 @@ class TestPatchify:
 
     def test_latent_invariants(self):
         cfg = EncoderConfig()
-        assert cfg.latent_frames == -(-cfg.frames // cfg.temporal_stride)
+        assert cfg.latent_frames == cfg.frames
         assert cfg.latent_h == cfg.height // cfg.patch
         assert cfg.latent_w == cfg.width // cfg.patch
 
@@ -74,7 +73,7 @@ class TestPatchify:
 class TestEncodeAudio:
     def test_constant_zero_envelope_gives_identical_tokens(self, enc16, params16):
         env = np.zeros(enc16.audio_tokens * enc16.samples_per_token)
-        tokens = encode_audio(env, params16, enc16).data.numpy()
+        tokens = encode_audio(env, params16, enc16)
         assert np.allclose(tokens, tokens[0])
 
     def test_impulse_locality(self, enc16, params16):
@@ -83,8 +82,8 @@ class TestEncodeAudio:
         for j in (0, spt - 1, 3 * spt + 7):
             env = base.copy()
             env[j] = 1.0
-            tokens = encode_audio(env, params16, enc16).data.numpy()
-            ref = encode_audio(base, params16, enc16).data.numpy()
+            tokens = encode_audio(env, params16, enc16)
+            ref = encode_audio(base, params16, enc16)
             changed = np.flatnonzero(np.abs(tokens - ref).sum(axis=1))
             assert changed.tolist() == [j // spt]
 
@@ -114,8 +113,8 @@ class TestEncodeAudio:
         env = rng.random(enc16.audio_tokens * spt)
         env2 = env.copy()
         env2[5 * spt:6 * spt] += rng.random(spt)
-        a = encode_audio(env, params16, enc16).data.numpy()
-        b = encode_audio(env2, params16, enc16).data.numpy()
+        a = encode_audio(env, params16, enc16)
+        b = encode_audio(env2, params16, enc16)
         changed = np.flatnonzero(np.abs(a - b).sum(axis=1))
         assert changed.tolist() == [5]
 
@@ -132,21 +131,25 @@ def _id_head_params(rng, c_feat=16, c=32, n_id=4, zero_bias=True):
     }
 
 
+def _encode_identity(crop, enc, head, cfg):
+    return identity_attend(Tensor(identity_conv_features(crop, enc, cfg)), head).numpy()
+
+
 class TestEncodeIdentity:
     def test_identical_crops_give_identical_tokens(self):
         cfg = EncoderConfig()
         enc = init_encoder_params(cfg, RngState(0))
         head = _id_head_params(0)
         crop = np.random.default_rng(2).random((16, 16, 3))
-        a = encode_identity(crop, enc, head, cfg).data.numpy()
-        b = encode_identity(crop.copy(), enc, head, cfg).data.numpy()
+        a = _encode_identity(crop, enc, head, cfg)
+        b = _encode_identity(crop.copy(), enc, head, cfg)
         assert np.array_equal(a, b)
 
     def test_zero_crop_zero_bias_gives_equal_outputs(self):
         cfg = EncoderConfig()
         enc = init_encoder_params(cfg, RngState(0))
         head = _id_head_params(0)
-        tokens = encode_identity(np.zeros((16, 16, 3)), enc, head, cfg).data.numpy()
+        tokens = _encode_identity(np.zeros((16, 16, 3)), enc, head, cfg)
         # constant features -> every query sees the same keys/values mix
         assert np.allclose(tokens - tokens[0], 0.0, atol=1e-7)
 
@@ -175,7 +178,7 @@ class TestEncodeIdentity:
         for i, spec in enumerate(specs):
             sample = generate_sample(spec, synth)
             crop = crop_face(sample.video[0], cfg)
-            embeds.append(encode_identity(crop, enc, head, cfg).data.numpy().ravel())
+            embeds.append(_encode_identity(crop, enc, head, cfg).ravel())
             labels.append(i % synth.identities)
         embeds = np.stack(embeds)
         embeds /= np.linalg.norm(embeds, axis=1, keepdims=True)

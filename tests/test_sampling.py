@@ -125,6 +125,18 @@ class TestSample:
                          SampleConfig(steps=2, seed=0, mode="clip"), state)
         assert info["mode"] == "clip"
 
+    def test_drop_all_conditions_only_changes_guided_samples(self, tiny_state):
+        # at scale 1 guidance reduces to v_cond, so nulling identity and
+        # reference in the unconditional branch cannot change the video
+        state, samples = tiny_state
+
+        def video(scale, drop):
+            cfg = SampleConfig(steps=4, seed=3, cfg_scale=scale, drop_all_conditions=drop)
+            return sample(samples[2].video[0], samples[2].envelope, cfg, state)[0].data
+
+        assert np.abs(video(1.0, True) - video(1.0, False)).max() <= 1e-6
+        assert np.abs(video(4.5, True) - video(4.5, False)).max() > 1e-6
+
     def test_wrong_reference_shape_rejected(self, tiny_state):
         state, samples = tiny_state
         with pytest.raises(ValueError, match="reference frame"):

@@ -1,12 +1,15 @@
 """Tensor file round trips."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from portraitflow.numerics import load_tensor, save_tensor
-from portraitflow.numerics.serialize import read_payload, write_payload
+from portraitflow.numerics.serialize import TENSOR_FILE_MAGIC, read_payload, write_payload
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -42,3 +45,20 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(data[:-8])
     with pytest.raises(EOFError):
         load_tensor(path)
+
+
+def test_huge_extent_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.pft"
+    path.write_bytes(TENSOR_FILE_MAGIC + struct.pack("<IQ", 1, 2 ** 40) + b"\x00" * 16)
+    with pytest.raises(EOFError):
+        load_tensor(path)
+
+
+@given(st.one_of(st.binary(max_size=64),
+                 st.builds(lambda ndim, rest: struct.pack("<I", ndim) + rest,
+                           st.integers(0, 2 ** 32 - 1), st.binary(max_size=64))))
+def test_read_payload_parses_or_rejects_any_bytes(data):
+    try:
+        read_payload(io.BytesIO(data))
+    except (ValueError, EOFError):
+        pass

@@ -14,7 +14,6 @@ from portraitflow.training import (
     Adam,
     TrainConfig,
     condition_dropout,
-    ddpm_noise,
     flow_noise_and_target,
     init_trainer,
     masked_gated_loss,
@@ -40,19 +39,6 @@ def tiny_samples():
 
 
 class TestNoising:
-    def test_ddpm_endpoints(self):
-        z, eps = np.array([2.0]), np.array([-3.0])
-        assert np.array_equal(ddpm_noise(z, eps, 1.0).numpy(), z)
-        assert np.array_equal(ddpm_noise(z, eps, 0.0).numpy(), eps)
-
-    def test_ddpm_midpoint_formula(self):
-        out = ddpm_noise(np.array([2.0]), np.array([0.0]), 0.5)
-        assert out.numpy()[0] == pytest.approx(1.41421356, abs=1e-7)
-
-    def test_ddpm_alpha_range(self):
-        with pytest.raises(ValueError):
-            ddpm_noise(np.zeros(1), np.zeros(1), 1.5)
-
     def test_flow_endpoints(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal(5).astype(np.float32)
