@@ -11,6 +11,7 @@ under "enc.".
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Tuple
@@ -18,7 +19,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .config import _EXTRA_KEYS, configs_to_flat, dump_flat, flat_to_configs, parse_flat
-from .encoders import EncoderParams
+from .encoders import EncoderParams, init_encoder_params
+from .model import init_model_params
 from .motion import MotionNorm
 from .numerics import Tensor
 from .numerics.serialize import _file_end, _read_exact, _read_f32, _read_shape
@@ -61,22 +63,31 @@ def save_checkpoint(path, state: TrainerState) -> None:
         offsets.append(cursor)
         cursor += arr.nbytes
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(names)))
-        for name, arr, offset in zip(names, payloads, offsets):
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(struct.pack("<Q", offset))
-        for arr in payloads:
-            fh.write(arr.tobytes(order="C"))
+    # Written beside the target and renamed over it, so a crash mid-write
+    # never leaves a cut checkpoint under the final name.
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", FORMAT_VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            fh.write(struct.pack("<I", len(names)))
+            for name, arr, offset in zip(names, payloads, offsets):
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(struct.pack("<Q", offset))
+            for arr in payloads:
+                fh.write(arr.tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
@@ -113,27 +124,46 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
     return flat, tensors
 
 
+class _ZeroRng:
+    """RngState stand-in that builds parameters only to read their shapes."""
+
+    def normal(self, *tags, size=None):
+        return np.zeros(size)
+
+
+def _check_tensors(path, tensors: Dict[str, np.ndarray], dit, enc) -> None:
+    """Raise ValueError naming the first tensor, in name order, that is
+    missing, not implied by the header's configs, or the wrong shape (a
+    wrong-shaped bias would otherwise broadcast silently). Adam moments
+    are optional, but come in (m, v) pairs shaped like their parameter."""
+    want = {f"model.{n}": p.shape for n, p in init_model_params(dit, _ZeroRng()).items()}
+    want.update((f"enc.{n}", a.shape) for n, a in
+                init_encoder_params(enc, _ZeroRng()).named_arrays().items())
+    for name in tensors:
+        param = name[len("opt.m."):]
+        if name.startswith(("opt.m.", "opt.v.")) and f"model.{param}" in want:
+            want[f"opt.m.{param}"] = want[f"opt.v.{param}"] = want[f"model.{param}"]
+    for name in sorted(set(want) | set(tensors)):
+        found = f"shape {tensors[name].shape}" if name in tensors else "no such tensor"
+        implied = f"shape {want[name]}" if name in want else "no such tensor"
+        if found != implied:
+            raise ValueError(f"{Path(path).name}: tensor {name!r} has {found}, "
+                             f"the header implies {implied}")
+
+
 def load_checkpoint(path) -> TrainerState:
     flat, tensors = read_checkpoint_raw(path)
     dit, enc, train = flat_to_configs(flat)
-
-    params = {name[len("model."):]: Tensor(arr, requires_grad=True)
-              for name, arr in tensors.items() if name.startswith("model.")}
-    enc_arrays = {name[len("enc."):]: arr
-                  for name, arr in tensors.items() if name.startswith("enc.")}
-    enc_params = EncoderParams(**enc_arrays)
-
+    _check_tensors(path, tensors, dit, enc)
+    groups = {prefix: {name[len(prefix):]: arr for name, arr in tensors.items()
+                       if name.startswith(prefix)}
+              for prefix in ("model.", "enc.", "opt.m.", "opt.v.")}
     opt = Adam(train.lr)
-    opt.count = int(flat["state.adam_count"])
-    for name, arr in tensors.items():
-        if name.startswith("opt.m."):
-            opt.m[name[len("opt.m."):]] = arr.copy()
-        elif name.startswith("opt.v."):
-            opt.v[name[len("opt.v."):]] = arr.copy()
-
+    opt.count, opt.m, opt.v = int(flat["state.adam_count"]), groups["opt.m."], groups["opt.v."]
     return TrainerState(
         dit=dit, enc=enc, train=train,
-        params=params, enc_params=enc_params, opt=opt,
+        params={n: Tensor(arr, requires_grad=True) for n, arr in groups["model."].items()},
+        enc_params=EncoderParams(**groups["enc."]), opt=opt,
         norm_facial=MotionNorm(min=flat["norm.facial_min"], max=flat["norm.facial_max"]),
         norm_body=MotionNorm(min=flat["norm.body_min"], max=flat["norm.body_max"]),
         step=int(flat["state.step"]))

@@ -12,13 +12,13 @@ and only each frame's own audio segment in "frame" mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .alignment import AudioVideoMap
 from .encoders import EncoderConfig
-from .motion import condition_timestep, init_motion_params, motion_embed
+from .motion import init_motion_params, motion_embed
 from .numerics import RngState, Tensor, attention, concat, layer_norm, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
@@ -74,18 +74,6 @@ class DiTConfig:
 
 
 @dataclass
-class ModulationParams:
-    """Per-block shift/scale/gate pairs, each [B x width]."""
-
-    shift1: Tensor
-    scale1: Tensor
-    gate1: Tensor
-    shift2: Tensor
-    scale2: Tensor
-    gate2: Tensor
-
-
-@dataclass
 class ConditioningBundle:
     """Everything the backbone is conditioned on, batch-shaped.
 
@@ -108,9 +96,20 @@ class ConditioningBundle:
         if self.mode not in ("clip", "frame"):
             raise ValueError(f"unknown audio scoping mode {self.mode!r}")
 
-    def with_null_audio(self) -> "ConditioningBundle":
-        nulled = self.audio * 0.0 + self.null_audio
-        return replace(self, audio=nulled)
+    def drop(self, drop: np.ndarray) -> "ConditioningBundle":
+        """The bundle with each condition dropped where `drop` is set:
+        audio and identity fall back to their learned null embeddings, the
+        reference latent to zeros. `drop` is [3 x B] or [3 x 1] boolean
+        (rows: audio, identity, reference), broadcast over the batch.
+        Training dropout and the sampler's unconditional branch both
+        call this."""
+        d = np.asarray(drop, dtype=self.audio.data.dtype).reshape(3, -1, 1, 1)
+        keep = 1.0 - d
+        return replace(
+            self,
+            audio=self.audio * Tensor(keep[0]) + self.null_audio * Tensor(d[0]),
+            identity=self.identity * Tensor(keep[1]) + self.null_identity * Tensor(d[1]),
+            reference=self.reference * Tensor(keep[2]))
 
 
 # ----------------------------------------------------------------------
@@ -211,16 +210,15 @@ def sinusoidal_features(t: np.ndarray, width: int) -> np.ndarray:
 
 
 def modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-    """x * (1 + scale) + shift with [B x c] parameters over [B x N x c]."""
-    one = Tensor(np.ones((), dtype=x.data.dtype))
-    return x * (one + scale.reshape(scale.shape[0], 1, scale.shape[-1])) \
-        + shift.reshape(shift.shape[0], 1, shift.shape[-1])
+    """x * (1 + scale) + shift with [B x 1 x c] parameters over [B x N x c]."""
+    return x * (1.0 + scale) + shift
 
 
 def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
-                       config: DiTConfig) -> Tuple[Tensor, List[ModulationParams]]:
-    """Conditioned timestep embedding plus the six per-block modulation
-    vectors. `t` is a scalar or a length-B array of values in [0, 1]."""
+                       config: DiTConfig) -> List[Tensor]:
+    """One [B x 1 x 6c] modulation tensor per block, from the timestep
+    embedding plus the motion embedding. `t` is a scalar or a length-B
+    array of values in [0, 1]; `motion` is [2] or [B x 2]."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError(f"timestep values must lie in [0, 1], got {t_arr}")
@@ -228,18 +226,9 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
     h = silu(feats @ params["t_mlp1.w"] + params["t_mlp1.b"])
     t_embed = h @ params["t_mlp2.w"] + params["t_mlp2.b"]
 
-    motion = Tensor._wrap(motion)
-    m = motion_embed(motion if motion.ndim == 2 else motion.reshape(1, 2), params)
-    cond = condition_timestep(t_embed, m)
-
-    gate_in = silu(cond)
-    c = config.width
-    mods = []
-    for i in range(config.depth):
-        six = gate_in @ params[f"block{i}.mod.w"] + params[f"block{i}.mod.b"]
-        pieces = [six.narrow(-1, j * c, c) for j in range(6)]
-        mods.append(ModulationParams(*pieces))
-    return cond, mods
+    gate_in = silu(t_embed + motion_embed(motion, params))
+    return [(gate_in @ params[f"block{i}.mod.w"] + params[f"block{i}.mod.b"])
+            .reshape(-1, 1, 6 * config.width) for i in range(config.depth)]
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -291,52 +280,49 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     return audio_inc, id_inc
 
 
-def dit_block(z: Tensor, bundle: ConditioningBundle, mod: ModulationParams,
+def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
               params: Dict[str, Tensor], config: DiTConfig, index: int) -> Tensor:
+    """`mod` is the block's [B x 1 x 6c] modulation tensor: shift, scale
+    and gate of the self-attention branch, then of the MLP branch."""
     b = f"block{index}."
-    heads = config.heads
-    ones, zeros = _ones_zeros(config.width, z.data.dtype)
+    heads, c = config.heads, config.width
+    shift1, scale1, gate1, shift2, scale2, gate2 = (
+        mod.narrow(-1, j * c, c) for j in range(6))
+    ones, zeros = _ones_zeros(c, z.data.dtype)
 
-    h = modulate(layer_norm(z, ones, zeros), mod.shift1, mod.scale1)
+    h = modulate(layer_norm(z, ones, zeros), shift1, scale1)
     q = _split_heads(h @ params[b + "attn.wq"] + params[b + "attn.wq_b"], heads)
     k = _split_heads(h @ params[b + "attn.wk"] + params[b + "attn.wk_b"], heads)
     v = _split_heads(h @ params[b + "attn.wv"] + params[b + "attn.wv_b"], heads)
     sa = _merge_heads(attention(q, k, v)) @ params[b + "attn.wo"] + params[b + "attn.wo_b"]
-    g1 = mod.gate1
-    z = z + g1.reshape(g1.shape[0], 1, g1.shape[-1]) * sa
+    z = z + gate1 * sa
 
     audio_inc, id_inc = cross_attention_increments(z, bundle, params, config, index)
     z = z + config.lambda_audio * audio_inc + config.lambda_identity * id_inc
 
-    h2 = modulate(layer_norm(z, ones, zeros), mod.shift2, mod.scale2)
+    h2 = modulate(layer_norm(z, ones, zeros), shift2, scale2)
     m = silu(h2 @ params[b + "mlp1.w"] + params[b + "mlp1.b"])
     m = m @ params[b + "mlp2.w"] + params[b + "mlp2.b"]
-    g2 = mod.gate2
-    return z + g2.reshape(g2.shape[0], 1, g2.shape[-1]) * m
+    return z + gate2 * m
 
 
 def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
                   params: Dict[str, Tensor], config: DiTConfig) -> Tensor:
-    """Velocity prediction for noisy latents. `z_t`: [B x N x c_lat] (or
-    unbatched [N x c_lat]); returns the same shape. The bundle is always
-    batch-shaped."""
+    """Velocity prediction [B x N x c_lat] for noisy latents `z_t` of the
+    same shape."""
     z_t = Tensor._wrap(z_t)
-    squeeze = z_t.ndim == 2
-    if squeeze:
-        z_t = z_t.reshape(1, *z_t.shape)
-    bsz, n, _ = z_t.shape
-    if n != config.video_tokens:
-        raise ValueError(f"expected {config.video_tokens} video tokens, got {n}")
+    if z_t.ndim != 3 or z_t.shape[1] != config.video_tokens:
+        raise ValueError(
+            f"expected [B x {config.video_tokens} x c] video tokens, got {z_t.shape}")
 
     x = concat([z_t, bundle.reference], axis=-1)
     x = x @ params["in_proj.w"] + params["in_proj.b"]
     x = x + params["pos_video"]
 
-    _, mods = timestep_embedding(t, bundle.motion, params, config)
+    mods = timestep_embedding(t, bundle.motion, params, config)
     for i in range(config.depth):
         x = dit_block(x, bundle, mods[i], params, config, i)
 
     ones, zeros = _ones_zeros(config.width, x.data.dtype)
     x = layer_norm(x, ones, zeros)
-    out = x @ params["out_proj.w"] + params["out_proj.b"]
-    return out.reshape(n, config.latent_width) if squeeze else out
+    return x @ params["out_proj.w"] + params["out_proj.b"]

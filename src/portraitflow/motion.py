@@ -28,20 +28,6 @@ class MotionNorm:
             raise ValueError(f"norm.max ({self.max}) must exceed norm.min ({self.min})")
 
 
-@dataclass(frozen=True)
-class MotionCoefficients:
-    facial: float  # expression intensity in [0, 1]
-    body: float    # body motion intensity in [0, 1]
-
-    def __post_init__(self):
-        for name, value in (("facial", self.facial), ("body", self.body)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} coefficient {value} outside [0, 1]")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.facial, self.body], dtype=np.float64)
-
-
 def raw_motion_variance(seq: np.ndarray) -> float:
     """Mean over keypoints and coordinates of the temporal (population)
     variance of an [F x K x 2] sequence."""
@@ -110,12 +96,3 @@ def motion_embed(omega: Tensor, params: Dict[str, Tensor]) -> Tensor:
     batch = expanded.shape[0]
     pooled = expanded.reshape(batch, EXPANSION, width).mean(axis=1)
     return pooled.reshape(width) if squeeze else pooled
-
-
-def condition_timestep(t_embed: Tensor, m_embed: Tensor) -> Tensor:
-    """Add the motion embedding onto the timestep embedding."""
-    t_embed, m_embed = Tensor._wrap(t_embed), Tensor._wrap(m_embed)
-    if t_embed.shape[-1] != m_embed.shape[-1]:
-        raise ValueError(
-            f"width mismatch: timestep {t_embed.shape} vs motion {m_embed.shape}")
-    return t_embed + m_embed

@@ -2,14 +2,14 @@
 
 The flow ODE is integrated from t=1 (pure noise) to t=0 with uniform
 Euler steps, z <- z - v * dt. Guidance extrapolates between the
-conditional velocity and one computed with the audio condition replaced
-by its learned null embedding (identity, reference and motion are kept
-in the unconditional branch unless `drop_all_conditions` is set).
+conditional velocity and one computed with the audio condition dropped
+by training's rule, `ConditioningBundle.drop` (identity and reference
+are dropped too when `drop_all_conditions` is set; motion is kept).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -25,7 +25,6 @@ from .encoders import (
     unpatchify_video,
 )
 from .model import ConditioningBundle, model_forward
-from .motion import MotionCoefficients
 from .numerics import RngState, Tensor, no_grad
 from .training import TrainerState
 
@@ -45,6 +44,9 @@ class SampleConfig:
             raise ValueError(f"need at least one sampling step, got {self.steps}")
         if self.cfg_scale < 0:
             raise ValueError(f"guidance scale must be nonnegative, got {self.cfg_scale}")
+        for name in ("omega_l", "omega_b"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
 
 
 def cfg_velocity(v_cond, v_uncond, s: float) -> Tensor:
@@ -84,12 +86,11 @@ def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
     feats = identity_conv_features(crop_face(reference_frame, enc),
                                    state.enc_params, enc)[None]
     identity = identity_attend(Tensor(feats), params)
-    omega = MotionCoefficients(facial=cfg.omega_l, body=cfg.omega_b)
     mode = cfg.mode or checkpoint_mode(state)
     return ConditioningBundle(
         audio=Tensor(audio),
         identity=identity,
-        motion=Tensor(omega.as_array()[None]),
+        motion=Tensor([[cfg.omega_l, cfg.omega_b]]),
         reference=Tensor(ref_tokens),
         mode=mode,
         mapping=segment_audio(state.dit.audio_tokens, state.dit.latent_frames),
@@ -114,11 +115,8 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
 
     with no_grad():
         cond = _inference_bundle(state, reference_frame, envelope, cfg)
-        uncond = cond.with_null_audio()
-        if cfg.drop_all_conditions:
-            null_id = uncond.identity * 0.0 + uncond.null_identity
-            uncond = replace(uncond, identity=null_id,
-                             reference=uncond.reference * 0.0)
+        drop_rest = cfg.drop_all_conditions
+        uncond = cond.drop(np.array([[True], [drop_rest], [drop_rest]]))
 
         rng = RngState(cfg.seed)
         z = rng.normal("init", size=(1, dit.video_tokens, dit.latent_width)

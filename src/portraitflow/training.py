@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -146,28 +146,16 @@ def condition_dropout(bundle: ConditioningBundle,
                       probs: Tuple[float, float, float],
                       rng: np.random.Generator
                       ) -> Tuple[ConditioningBundle, np.ndarray]:
-    """Independently replace audio / identity / reference per sample.
-
-    Audio and identity fall back to their learned null embeddings, the
-    reference latent to zeros. Returns the new bundle and the [3 x B]
-    boolean drop matrix (rows: audio, identity, reference).
+    """Independently drop audio / identity / reference per sample with
+    the given probabilities (see `ConditioningBundle.drop`). Returns the
+    new bundle and the [3 x B] boolean drop matrix (rows: audio,
+    identity, reference).
     """
     for p in probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"dropout probabilities must lie in [0, 1], got {probs}")
-    batch = bundle.audio.shape[0]
-    draws = rng.random((3, batch))
-    drop = draws < np.asarray(probs)[:, None]
-
-    def mix(real: Tensor, null: Tensor, row: np.ndarray) -> Tensor:
-        d = row.astype(real.data.dtype).reshape(batch, 1, 1)
-        return real * Tensor(1.0 - d) + null * Tensor(d)
-
-    audio = mix(bundle.audio, bundle.null_audio, drop[0])
-    identity = mix(bundle.identity, bundle.null_identity, drop[1])
-    keep_r = (1.0 - drop[2].astype(bundle.reference.data.dtype)).reshape(batch, 1, 1)
-    reference = bundle.reference * Tensor(keep_r)
-    return replace(bundle, audio=audio, identity=identity, reference=reference), drop
+    drop = rng.random((3, bundle.audio.shape[0])) < np.asarray(probs)[:, None]
+    return bundle.drop(drop), drop
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +304,6 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
     are all functions of (seed, step)."""
     cfg = state.train
     stage = cfg.stage_at(step)
-    mode = "clip" if stage == "clip" else "frame"
     rng = RngState(cfg.seed)
     batch = cfg.batch_size
 
@@ -326,7 +313,7 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
     eps = rng.stream("eps", step).standard_normal(z.shape).astype(z.dtype)
     z_t, v_target = flow_noise_and_target(z, eps, t)
 
-    bundle = build_bundle(state, data, idx, mode)
+    bundle = build_bundle(state, data, idx, stage)
     probs = (cfg.dropout_audio, cfg.dropout_identity, cfg.dropout_reference)
     bundle, _ = condition_dropout(bundle, probs, rng.stream("drop", step))
 
@@ -366,7 +353,9 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     """Run (or resume) the clip stage followed by the frame stage.
 
     Emits a checkpoint at the stage boundary and at the end, plus a
-    newline-delimited loss log. Returns the final state, the reports
+    newline-delimited loss log. The log keeps only the lines already in
+    it for steps before `state.step`, so a resumed run into the same
+    directory logs each step once. Returns the final state, the reports
     from this call, and the checkpoint paths.
     """
     from .checkpoint import save_checkpoint
@@ -380,7 +369,12 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     artifacts: Dict[str, Path] = {}
     reports: List[LossReport] = []
     log_path = out_dir / log_name
-    with open(log_path, "a") as log:
+    earlier = []
+    if log_path.exists():  # a line cut by a crash has no newline: dropped
+        earlier = [line for line in log_path.read_text().splitlines(keepends=True)
+                   if line.endswith("\n") and json.loads(line)["step"] < state.step]
+    with open(log_path, "w") as log:
+        log.writelines(earlier)
         for step in range(state.step, train.total_steps):
             report = train_step(state, data, step)
             reports.append(report)

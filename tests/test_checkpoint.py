@@ -17,6 +17,7 @@ from portraitflow.checkpoint import (
 from portraitflow.cli import main
 from portraitflow.encoders import EncoderConfig
 from portraitflow.model import DiTConfig
+from portraitflow.numerics import Tensor, save_tensor
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
 from portraitflow.training import (
     TrainConfig,
@@ -119,6 +120,33 @@ class TestResume:
             assert np.array_equal(full_state.params[name].data,
                                   resumed_state.params[name].data), name
 
+    def test_resume_into_same_directory_logs_each_step_once(self, tiny_samples,
+                                                            tmp_path):
+        import json
+
+        cfg = TrainConfig(steps_clip=3, steps_frame=3, batch_size=2, seed=2)
+        _, full_reports, artifacts = run_two_stage(
+            tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path)
+        # a crash cut the last line short
+        with open(artifacts["log"], "a") as log:
+            log.write('{"step": 6, "sta')
+        run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path,
+                      state=load_checkpoint(artifacts["clip"]))
+        rows = [json.loads(line) for line in artifacts["log"].read_text().splitlines()]
+        assert [r["step"] for r in rows] == list(range(cfg.total_steps))
+        assert [r["loss"] for r in rows] == [r.loss for r in full_reports]
+
+    def test_failed_save_keeps_previous_checkpoint(self, tiny_samples, tmp_path):
+        state = trained_state(tiny_samples)
+        path = tmp_path / "ckpt.pfck"
+        save_checkpoint(path, state)
+        before = path.read_bytes()
+        state.params["bad\ud800"] = Tensor(np.zeros(2))  # cannot be encoded
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(path, state)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.pfck"]
+
 
 @pytest.fixture(scope="module")
 def saved_bytes(tiny_samples, tmp_path_factory):
@@ -172,6 +200,30 @@ class TestMalformed:
         path.write_bytes(_with_header(saved_bytes, lambda h: "".join(
             line for line in h.splitlines(True) if not line.startswith("state.step"))))
         _inspect_fails_cleanly(path, capsys)
+
+    @pytest.mark.parametrize("edit", ["rename enc.audio_b", "rename model.id.wo_b",
+                                      "rename opt.v.pos_audio", "reshape model.in_proj.b"])
+    def test_tensor_set_must_match_header(self, saved_bytes, tmp_path, capsys, edit):
+        # a renamed tensor is reported missing under its old name; an Adam
+        # moment needs its partner; a [1 x c] bias would broadcast silently
+        action, named = edit.split()
+        path = tmp_path / "edited.pfck"
+        path.write_bytes(saved_bytes)
+        if action == "rename":
+            assert saved_bytes.count(named.encode()) == 1
+            path.write_bytes(saved_bytes.replace(named.encode(), named[:-1].encode() + b"z"))
+        else:
+            state = load_checkpoint(path)
+            state.params["in_proj.b"] = Tensor(state.params["in_proj.b"].data[None])
+            save_checkpoint(path, state)
+        ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
+        save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
+        save_tensor(audio, np.zeros(TINY_ENC.audio_tokens * TINY_ENC.samples_per_token))
+        assert main(["sample", "--ckpt", str(path), "--ref", str(ref), "--audio",
+                     str(audio), "--out", str(tmp_path / "out"), "--steps", "1"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert repr(named) in err[0]
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prefix=st.sampled_from([b"", MAGIC, MAGIC + struct.pack("<I", FORMAT_VERSION)]),

@@ -50,16 +50,20 @@ def tiny_params():
 
 class TestTimestepEmbedding:
     def test_zero_initialized_heads_emit_zero_modulation(self, tiny_params):
-        _, mods = timestep_embedding(0.4, Tensor([0.5, 0.5]), tiny_params, TINY)
+        mods = timestep_embedding(0.4, Tensor([0.5, 0.5]), tiny_params, TINY)
+        assert len(mods) == TINY.depth
         for mod in mods:
-            for name in ("shift1", "scale1", "gate1", "shift2", "scale2", "gate2"):
-                assert (getattr(mod, name).numpy() == 0.0).all()
+            assert mod.shape == (1, 1, 6 * TINY.width)
+            assert (mod.numpy() == 0.0).all()
 
-    def test_distinct_t_values_give_distinct_embeddings(self, tiny_params):
+    def test_distinct_t_values_give_distinct_embeddings(self):
+        params = init_model_params(TINY, RngState(0))
+        params["block0.mod.w"] = Tensor(np.random.default_rng(6).standard_normal(
+            (TINY.width, 6 * TINY.width)) * 0.1, requires_grad=True)
         grid = np.linspace(0.0, 1.0, 64)
-        cond, _ = timestep_embedding(grid, Tensor(np.tile([0.5, 0.5], (64, 1))),
-                                     tiny_params, TINY)
-        emb = cond.numpy()
+        mods = timestep_embedding(grid, Tensor(np.tile([0.5, 0.5], (64, 1))),
+                                  params, TINY)
+        emb = mods[0].numpy()[:, 0]
         for i in range(len(grid)):
             for j in range(i + 1, len(grid)):
                 assert np.abs(emb[i] - emb[j]).max() > 1e-9
@@ -82,9 +86,9 @@ class TestTimestepEmbedding:
             params[f"block{i}.mod.w"] = Tensor(
                 rng.standard_normal((TINY.width, 6 * TINY.width)) * 0.1,
                 requires_grad=True)
-        _, mods_a = timestep_embedding(0.3, Tensor([0.1, 0.1]), params, TINY)
-        _, mods_b = timestep_embedding(0.3, Tensor([0.9, 0.9]), params, TINY)
-        delta = np.abs(mods_a[0].shift1.numpy() - mods_b[0].shift1.numpy()).max()
+        mods_a = timestep_embedding(0.3, Tensor([0.1, 0.1]), params, TINY)
+        mods_b = timestep_embedding(0.3, Tensor([0.9, 0.9]), params, TINY)
+        delta = np.abs(mods_a[0].numpy() - mods_b[0].numpy()).max()
         assert delta > 1e-6
 
     def test_out_of_range_t_rejected(self, tiny_params):
@@ -97,8 +101,8 @@ class TestDitBlock:
         config = dataclasses.replace(TINY, lambda_audio=0.0, lambda_identity=0.0)
         params = init_model_params(config, RngState(0))  # gates zero-init
         bundle = make_bundle(config, params)
-        _, mods = timestep_embedding(np.array([0.2, 0.8]), bundle.motion,
-                                     params, config)
+        mods = timestep_embedding(np.array([0.2, 0.8]), bundle.motion,
+                                  params, config)
         z = Tensor(np.random.default_rng(1).standard_normal(
             (2, config.video_tokens, config.width)))
         out = dit_block(z, bundle, mods[0], params, config, 0)
@@ -117,8 +121,8 @@ class TestDitBlock:
         z = Tensor(np.random.default_rng(2).standard_normal(
             (2, TINY.video_tokens, TINY.width)))
         a_inc, i_inc = cross_attention_increments(z, bundle, params, TINY, 0)
-        _, mods = timestep_embedding(np.array([0.2, 0.8]), bundle.motion,
-                                     params, TINY)
+        mods = timestep_embedding(np.array([0.2, 0.8]), bundle.motion,
+                                  params, TINY)
         for la, li in ((0.0, 1.0), (1.0, 0.5), (2.0, 0.25), (0.3, 0.0)):
             config = dataclasses.replace(TINY, lambda_audio=la, lambda_identity=li)
             out = dit_block(z, bundle, mods[0], params, config, 0)
@@ -150,13 +154,26 @@ class TestDitBlock:
 
     def test_null_audio_makes_output_independent_of_audio(self, tiny_params):
         params = tiny_params
-        bundle_a = make_bundle(TINY, params, seed=3).with_null_audio()
-        bundle_b = make_bundle(TINY, params, seed=4).with_null_audio()
+        audio_only = np.array([[True], [False], [False]])
+        bundle_a = make_bundle(TINY, params, seed=3).drop(audio_only)
+        bundle_b = make_bundle(TINY, params, seed=4).drop(audio_only)
         z = Tensor(np.random.default_rng(5).standard_normal(
             (2, TINY.video_tokens, TINY.width)))
         inc_a, _ = cross_attention_increments(z, bundle_a, params, TINY, 0)
         inc_b, _ = cross_attention_increments(z, bundle_b, params, TINY, 0)
         assert np.array_equal(inc_a.numpy(), inc_b.numpy())
+
+
+class TestConditioningBundle:
+    def test_drop_rows_broadcast_over_batch(self, tiny_params):
+        bundle = make_bundle(TINY, tiny_params, batch=3)
+        for rows in ([True, False, True], [False, True, False]):
+            column = np.array(rows)[:, None]
+            narrow = bundle.drop(column)
+            full = bundle.drop(np.tile(column, (1, 3)))
+            for name in ("audio", "identity", "reference"):
+                assert np.array_equal(getattr(narrow, name).numpy(),
+                                      getattr(full, name).numpy())
 
 
 class TestModelForward:
@@ -166,12 +183,12 @@ class TestModelForward:
         out = model_forward(z, np.array([0.1, 0.9]), bundle, tiny_params, TINY)
         assert out.shape == (2, TINY.video_tokens, TINY.latent_width)
 
-    def test_unbatched_input_round_trip(self, tiny_params):
+    def test_unbatched_input_rejected(self, tiny_params):
         bundle = make_bundle(TINY, tiny_params, batch=1)
         z = Tensor(np.random.default_rng(0).standard_normal(
             (TINY.video_tokens, TINY.latent_width)))
-        out = model_forward(z, 0.5, bundle, tiny_params, TINY)
-        assert out.shape == (TINY.video_tokens, TINY.latent_width)
+        with pytest.raises(ValueError, match="tokens"):
+            model_forward(z, 0.5, bundle, tiny_params, TINY)
 
     def test_deterministic(self, tiny_params):
         bundle = make_bundle(TINY, tiny_params)

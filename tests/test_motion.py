@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from portraitflow.motion import (
-    MotionCoefficients,
     MotionNorm,
     compute_coefficient,
-    condition_timestep,
     init_motion_params,
     motion_embed,
     raw_motion_variance,
@@ -62,13 +60,6 @@ class TestComputeCoefficient:
             assert raw_motion_variance(scaled) >= raw_motion_variance(base)
 
 
-class TestMotionCoefficients:
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            MotionCoefficients(facial=1.2, body=0.0)
-        MotionCoefficients(facial=0.0, body=1.0)  # bounds included
-
-
 class TestMotionEmbed:
     def test_zero_final_layer_gives_zero_embedding(self):
         params = init_motion_params(16, RngState(0))  # zero_final default
@@ -101,26 +92,3 @@ class TestMotionEmbed:
             moved = motion_embed(Tensor([0.5 + delta, 0.5]), params).numpy()
             # Lipschitz-style bound at fixed parameters
             assert np.abs(moved - base).max() <= 10.0 * delta
-
-
-class TestConditionTimestep:
-    def test_zero_motion_is_identity(self):
-        t = Tensor(np.random.default_rng(0).standard_normal(8))
-        out = condition_timestep(t, Tensor(np.zeros(8)))
-        assert np.array_equal(out.numpy(), t.numpy())
-
-    def test_commutes(self):
-        rng = np.random.default_rng(1)
-        a, b = Tensor(rng.standard_normal(6)), Tensor(rng.standard_normal(6))
-        assert np.array_equal(condition_timestep(a, b).numpy(),
-                              condition_timestep(b, a).numpy())
-
-    def test_matches_elementwise_addition(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal(6), rng.standard_normal(6)
-        out = condition_timestep(Tensor(a), Tensor(b)).numpy()
-        assert np.allclose(out, a + b)
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            condition_timestep(Tensor(np.zeros(4)), Tensor(np.zeros(6)))

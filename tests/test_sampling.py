@@ -91,6 +91,15 @@ class TestIntegrateFlow:
             SampleConfig(cfg_scale=-1.0)
 
 
+class TestSampleConfig:
+    def test_motion_coefficient_range_validation(self):
+        with pytest.raises(ValueError, match="omega_l"):
+            SampleConfig(omega_l=1.2)
+        with pytest.raises(ValueError, match="omega_b"):
+            SampleConfig(omega_b=-0.1)
+        SampleConfig(omega_l=0.0, omega_b=1.0)  # bounds included
+
+
 class TestSample:
     def test_deterministic_given_seed(self, tiny_state):
         state, samples = tiny_state

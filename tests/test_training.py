@@ -264,6 +264,32 @@ class TestTrainLoop:
         stages = [train_step(state, data, s).stage for s in range(cfg.total_steps)]
         assert stages == ["clip"] * 3 + ["frame"] * 2
 
+    def test_graph_nodes_per_step(self, tiny_samples, monkeypatch):
+        # nodes reachable from the loss, counted as bench/run.py counts them
+        def graph_nodes(loss):
+            seen, todo = {id(loss)}, [loss]
+            while todo:
+                for parent in todo.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        todo.append(parent)
+            return len(seen)
+
+        cfg = self._config()
+        state = init_trainer(TINY_DIT, TINY_ENC, cfg, tiny_samples)
+        data = prepare_training_tensors(tiny_samples, state.enc_params, TINY_ENC)
+        counts = {"clip": [], "frame": []}
+        backward = Tensor.backward
+
+        def counting_backward(loss):
+            counts[cfg.stage_at(state.step)].append(graph_nodes(loss))
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        for step in range(cfg.total_steps):
+            train_step(state, data, step)
+        assert max(counts["clip"]) <= 342 and max(counts["frame"]) <= 353, counts
+
     def test_single_sample_overfit(self, tiny_samples):
         cfg = self._config(steps_clip=50, steps_frame=0, batch_size=1, lr=1e-3,
                            dropout_audio=0.0, dropout_identity=0.0,

@@ -1,0 +1,125 @@
+"""Fixed-run fingerprint: sha256 of every output of a short seeded run.
+
+    python3 tools/fingerprint.py [SRC_DIR]
+
+SRC_DIR is the directory holding the `portraitflow` package (default:
+this checkout's `src/`). Run it once per tree, say a change and its
+parent, to see whether the change leaves every output byte-identical.
+
+The run: a 20-clip seed-0 corpus at the default sizes; 12 `train_step`s
+(6 clip, 6 frame) at batch 4 and seed 3 on the first 17 clips; one
+clip-mode and one frame-mode 4-step `sample()` from clip 17; and a
+3-clip `evaluate_model` on the last 3 clips. It prints the sha256 of the
+prepared tensors, losses, parameters, videos and eval rows, one sha256
+over all five, and the autodiff graph nodes of each train step, counted
+from the loss as `bench/run.py` counts them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+CLIPS, TRAIN_CLIPS, EVAL_CLIPS = 20, 17, 3
+STEPS_CLIP, STEPS_FRAME, BATCH, TRAIN_SEED = 6, 6, 4, 3
+SAMPLE_STEPS = 4
+
+
+def graph_nodes(loss) -> int:
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for parent in todo.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+def array_bytes(arr) -> bytes:
+    arr = np.ascontiguousarray(arr)
+    return f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()
+
+
+def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]]]:
+    """Run the fixed pipeline; return the bytes of each output group and
+    the graph nodes per train step."""
+    from portraitflow import evalmetrics, sampling, synthdata, training
+    from portraitflow.encoders import EncoderConfig
+    from portraitflow.model import DiTConfig
+    from portraitflow.numerics import Tensor
+
+    synth = synthdata.SynthConfig()
+    samples = [synthdata.generate_sample(spec, synth)
+               for spec in synthdata.make_corpus_specs(CLIPS, 0, synth)]
+    enc = EncoderConfig()
+    train_cfg = training.TrainConfig(steps_clip=STEPS_CLIP, steps_frame=STEPS_FRAME,
+                                     batch_size=BATCH, seed=TRAIN_SEED)
+    train_clips = samples[:TRAIN_CLIPS]
+    state = training.init_trainer(DiTConfig.for_encoders(enc), enc, train_cfg, train_clips)
+    data = training.prepare_training_tensors(train_clips, state.enc_params, enc)
+    out = {"prepared": b"".join(array_bytes(getattr(data, name)) for name in (
+        "latents", "references", "audio", "id_features", "lip_masks", "omegas"))}
+
+    nodes = {"clip": [], "frame": []}
+    backward = Tensor.backward
+
+    def counting_backward(loss):
+        nodes[train_cfg.stage_at(state.step)].append(graph_nodes(loss))
+        return backward(loss)
+
+    Tensor.backward = counting_backward
+    try:
+        reports = [training.train_step(state, data, step)
+                   for step in range(train_cfg.total_steps)]
+    finally:
+        Tensor.backward = backward
+    out["losses"] = "\n".join(r.to_json() for r in reports).encode()
+    out["params"] = b"".join(name.encode() + array_bytes(state.params[name].data)
+                             for name in sorted(state.params))
+
+    videos = []
+    clip = samples[TRAIN_CLIPS]
+    for mode in ("clip", "frame"):
+        cfg = sampling.SampleConfig(steps=SAMPLE_STEPS, seed=1, mode=mode)
+        video, info = sampling.sample(clip.video[0], clip.envelope, cfg, state)
+        videos.append(array_bytes(video.data) + json.dumps(info, sort_keys=True).encode())
+    out["videos"] = b"".join(videos)
+
+    report, rows = evalmetrics.evaluate_model(
+        state, samples[-EVAL_CLIPS:], sampling.SampleConfig(steps=SAMPLE_STEPS, seed=2))
+    out["rows"] = json.dumps({"report": report.to_json(), "rows": rows},
+                             sort_keys=True).encode()
+    return out, nodes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?",
+                        default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the portraitflow package")
+    args = parser.parse_args(argv)
+    if not (Path(args.src) / "portraitflow" / "__init__.py").is_file():
+        print(f"error: no portraitflow package under {args.src}", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(args.src).resolve()))
+
+    out, nodes = run()
+    total = hashlib.sha256()
+    for name, blob in out.items():
+        digest = hashlib.sha256(blob).hexdigest()
+        total.update(digest.encode())
+        print(f"{name:<9} {digest}")
+    print(f"{'all':<9} {total.hexdigest()}")
+    for stage, counts in nodes.items():
+        print(f"graph nodes per {stage} step: max {max(counts)}, each {counts}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
