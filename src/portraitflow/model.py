@@ -6,13 +6,16 @@ additive audio cross-attention increment weighted lambda_audio and an
 identity cross-attention increment weighted lambda_identity, both using
 the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
-and only each frame's own audio segment in "frame" mode.
+and only each frame's own audio segment in "frame" mode. The audio and
+identity keys/values depend only on the conditions, so a caller that
+reuses one bundle across many forwards projects them once
+(`project_condition_kv`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +76,10 @@ class DiTConfig:
         return replace(base, **overrides) if overrides else base
 
 
-@dataclass
+ConditionKV = Tuple[Tensor, Tensor, Tensor, Tensor]
+
+
+@dataclass(frozen=True)
 class ConditioningBundle:
     """Everything the backbone is conditioned on, batch-shaped.
 
@@ -81,6 +87,11 @@ class ConditioningBundle:
     reference: [B x N x c_ref] (reference-frame latent repeated along f).
     The null embeddings are learned parameters, carried here so dropout
     and guidance can swap them in without reaching into the param dict.
+
+    kv: each block's projected audio and identity keys and values, set
+    only by `project_condition_kv`. It is not an init field, so `replace`
+    and `drop` return bundles without it: a changed condition is always
+    projected afresh.
     """
 
     audio: Tensor
@@ -91,6 +102,8 @@ class ConditioningBundle:
     mapping: AudioVideoMap
     null_audio: Tensor
     null_identity: Tensor
+    kv: Optional[Tuple[ConditionKV, ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("clip", "frame"):
@@ -245,6 +258,37 @@ def _ones_zeros(width: int, dtype) -> Tuple[Tensor, Tensor]:
     return Tensor(np.ones(width, dtype=dtype)), Tensor(np.zeros(width, dtype=dtype))
 
 
+def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
+                 config: DiTConfig, index: int) -> ConditionKV:
+    """Block `index`'s head-split audio keys and values, then identity keys
+    and values. They depend only on the conditions and the parameters:
+    read from `bundle.kv` once `project_condition_kv` has filled it,
+    computed here otherwise."""
+    if bundle.kv is not None:
+        return bundle.kv[index]
+    b = f"block{index}."
+    heads = config.heads
+    audio = bundle.audio + params["pos_audio"]
+    ak = _split_heads(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"], heads)
+    av = _split_heads(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"], heads)
+    ident = bundle.identity
+    ik = _split_heads(ident @ params[b + "xid.wk"] + params[b + "xid.wk_b"], heads)
+    iv = _split_heads(ident @ params[b + "xid.wv"] + params[b + "xid.wv_b"], heads)
+    return ak, av, ik, iv
+
+
+def project_condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
+                         config: DiTConfig) -> ConditioningBundle:
+    """`bundle` with every block's condition keys and values projected
+    once, for a caller that runs many forwards on one bundle with fixed
+    `params`, as the sampler does. Exact: each forward reads back the
+    tensors it would otherwise compute."""
+    kv = tuple(condition_kv(bundle, params, config, i) for i in range(config.depth))
+    projected = replace(bundle)
+    object.__setattr__(projected, "kv", kv)
+    return projected
+
+
 def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
                                params: Dict[str, Tensor], config: DiTConfig,
                                index: int) -> Tuple[Tensor, Tensor]:
@@ -254,10 +298,7 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     b = f"block{index}."
     heads = config.heads
     q = _split_heads(z @ params[b + "attn.wq"] + params[b + "attn.wq_b"], heads)
-
-    audio = bundle.audio + params["pos_audio"]
-    ak = _split_heads(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"], heads)
-    av = _split_heads(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"], heads)
+    ak, av, ik, iv = condition_kv(bundle, params, config, index)
     if bundle.mode == "frame":
         if not bundle.mapping.is_uniform():
             raise ValueError("frame mode requires equal-length audio segments")
@@ -272,10 +313,6 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     else:
         att = attention(q, ak, av)
     audio_inc = _merge_heads(att) @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
-
-    ident = bundle.identity
-    ik = _split_heads(ident @ params[b + "xid.wk"] + params[b + "xid.wk_b"], heads)
-    iv = _split_heads(ident @ params[b + "xid.wv"] + params[b + "xid.wv_b"], heads)
     id_inc = _merge_heads(attention(q, ik, iv)) @ params[b + "xid.wo"] + params[b + "xid.wo_b"]
     return audio_inc, id_inc
 

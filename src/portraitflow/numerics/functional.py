@@ -26,9 +26,9 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     x = Tensor._wrap(x)
     if x.data.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
-    shifted = x.data - np.max(x.data, axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=-1, keepdims=True)
+    out_data = x.data - np.max(x.data, axis=-1, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=-1, keepdims=True)
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)

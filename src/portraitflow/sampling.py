@@ -5,11 +5,15 @@ Euler steps, z <- z - v * dt. Guidance extrapolates between the
 conditional velocity and one computed with the audio condition dropped
 by training's rule, `ConditioningBundle.drop` (identity and reference
 are dropped too when `drop_all_conditions` is set; motion is kept).
+Both velocities come from one B=2 forward per step, row 0 conditional
+and row 1 unconditional, and the condition keys/values of that pair are
+projected once per sample, not once per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -24,7 +28,7 @@ from .encoders import (
     patchify_video,
     unpatchify_video,
 )
-from .model import ConditioningBundle, model_forward
+from .model import ConditioningBundle, model_forward, project_condition_kv
 from .numerics import RngState, Tensor, no_grad
 from .training import TrainerState
 
@@ -42,8 +46,9 @@ class SampleConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"need at least one sampling step, got {self.steps}")
-        if self.cfg_scale < 0:
-            raise ValueError(f"guidance scale must be nonnegative, got {self.cfg_scale}")
+        if not (math.isfinite(self.cfg_scale) and self.cfg_scale >= 0):
+            raise ValueError(
+                f"guidance scale must be finite and nonnegative, got {self.cfg_scale}")
         for name in ("omega_l", "omega_b"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} {getattr(self, name)} outside [0, 1]")
@@ -98,13 +103,24 @@ def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
         null_identity=params["null_identity"])
 
 
+def guidance_pair(cond: ConditioningBundle, drop_all_conditions: bool) -> ConditioningBundle:
+    """The B=2 bundle of one guided step: row 0 is the B=1 bundle `cond`,
+    row 1 the same clip with its audio dropped (identity and reference
+    too when `drop_all_conditions` is set)."""
+    pair = replace(cond, **{name: Tensor(np.repeat(getattr(cond, name).data, 2, axis=0))
+                            for name in ("audio", "identity", "motion", "reference")})
+    d = drop_all_conditions
+    return pair.drop(np.array([[False, True], [False, d], [False, d]]))
+
+
 def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
            state: TrainerState) -> Tuple[PixelVideo, Dict]:
     """Generate a video from a reference frame and an audio envelope.
 
     Deterministic given (cfg.seed, checkpoint). Returns the decoded
     video (clamped to [0, 1]) and an info record including the fraction
-    of pre-clamp out-of-range pixel values.
+    of pre-clamp out-of-range pixel values and, per Euler step, the
+    guidance gap: the RMS of v_cond - v_uncond.
     """
     dit, enc = state.dit, state.enc
     reference_frame = np.asarray(reference_frame, dtype=np.float32)
@@ -115,17 +131,19 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
 
     with no_grad():
         cond = _inference_bundle(state, reference_frame, envelope, cfg)
-        drop_rest = cfg.drop_all_conditions
-        uncond = cond.drop(np.array([[True], [drop_rest], [drop_rest]]))
+        pair = project_condition_kv(guidance_pair(cond, cfg.drop_all_conditions),
+                                    state.params, dit)
 
         rng = RngState(cfg.seed)
         z = rng.normal("init", size=(1, dit.video_tokens, dit.latent_width)
                        ).astype(np.float32)
+        gaps = []
 
         def velocity(z_now: np.ndarray, t: float) -> np.ndarray:
-            v_c = model_forward(Tensor(z_now), t, cond, state.params, dit)
-            v_u = model_forward(Tensor(z_now), t, uncond, state.params, dit)
-            return cfg_velocity(v_c, v_u, cfg.cfg_scale).numpy()
+            v = model_forward(Tensor(np.repeat(z_now, 2, axis=0)), t, pair,
+                              state.params, dit).numpy()
+            gaps.append(float(np.sqrt(np.mean(np.square(v[0] - v[1], dtype=np.float64)))))
+            return cfg_velocity(v[:1], v[1:], cfg.cfg_scale).numpy()
 
         z0 = integrate_flow(z, velocity, cfg.steps)
 
@@ -137,6 +155,6 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
     info = {
         "steps": cfg.steps, "cfg_scale": cfg.cfg_scale, "seed": cfg.seed,
         "mode": cond.mode, "omega_l": cfg.omega_l, "omega_b": cfg.omega_b,
-        "overflow_fraction": overflow,
+        "overflow_fraction": overflow, "guidance_gap": gaps,
     }
     return video, info

@@ -219,23 +219,30 @@ class TrainingTensors:
 
 def prepare_training_tensors(samples: Sequence, enc_params: EncoderParams,
                              enc: EncoderConfig) -> TrainingTensors:
-    latents, references, audio, id_feats, masks, omegas = [], [], [], [], [], []
+    """Encode every sample once into [n x ...] float32 arrays. Each row is
+    written straight into its preallocated array: collecting per-sample
+    lists and stacking them would hold every row twice (about 9 MB at 48
+    clips) and leave the freed rows fragmenting the heap."""
+    if not samples:
+        raise ValueError("no samples to prepare")
     hw = enc.latent_h * enc.latent_w
-    for sample in samples:
+    arrays = None
+    for i, sample in enumerate(samples):
         tokens = patchify_video(PixelVideo(sample.video), enc_params, enc)
-        latents.append(tokens)
-        references.append(np.tile(tokens[:hw], (enc.latent_frames, 1)))
-        audio.append(encode_audio(sample.envelope, enc_params, enc))
-        crop = crop_face(sample.video[0], enc)
-        id_feats.append(identity_conv_features(crop, enc_params, enc).astype(np.float32))
-        masks.append(project_mask_trilinear(
-            sample.lip_mask, enc.latent_frames, enc.latent_h, enc.latent_w
-        ).astype(np.float32))
-        omegas.append([sample.spec.omega_l, sample.spec.omega_b])
-    return TrainingTensors(
-        latents=np.stack(latents), references=np.stack(references),
-        audio=np.stack(audio), id_features=np.stack(id_feats),
-        lip_masks=np.stack(masks), omegas=np.asarray(omegas, dtype=np.float32))
+        row = (tokens,
+               np.tile(tokens[:hw], (enc.latent_frames, 1)),
+               encode_audio(sample.envelope, enc_params, enc),
+               identity_conv_features(crop_face(sample.video[0], enc), enc_params, enc),
+               project_mask_trilinear(sample.lip_mask, enc.latent_frames,
+                                      enc.latent_h, enc.latent_w))
+        if arrays is None:
+            arrays = [np.empty((len(samples),) + a.shape, dtype=np.float32) for a in row]
+        for out, a in zip(arrays, row):
+            out[i] = a
+    latents, references, audio, id_features, lip_masks = arrays
+    omegas = np.asarray([[s.spec.omega_l, s.spec.omega_b] for s in samples], dtype=np.float32)
+    return TrainingTensors(latents=latents, references=references, audio=audio,
+                           id_features=id_features, lip_masks=lip_masks, omegas=omegas)
 
 
 def motion_norms_from_samples(samples: Sequence) -> Tuple[MotionNorm, MotionNorm]:

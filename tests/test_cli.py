@@ -116,6 +116,19 @@ def test_parser_defaults_match_reference_settings():
     assert args.motion_l == 0.5 and args.motion_b == 0.5
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_cfg_scale_rejected(workspace, capsys, scale):
+    data, run = workspace / "data", workspace / "run"
+    out = workspace / f"s_{scale}"
+    assert main(["sample", "--ckpt", str(run / "checkpoint_final.pfck"),
+                 "--ref", str(data / "sample_00008" / "video.pft"),
+                 "--audio", str(data / "sample_00008" / "envelope.pft"),
+                 "--steps", "2", "--cfg-scale", scale, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+    assert not out.exists()
+
+
 def test_unreadable_checkpoint_fails_with_diagnostic(workspace, capsys, tmp_path):
     bad = tmp_path / "bad.pfck"
     bad.write_bytes(b"garbage")

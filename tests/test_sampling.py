@@ -1,14 +1,25 @@
 """Guidance algebra and flow integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from portraitflow import sampling
+from portraitflow.alignment import segment_audio
 from portraitflow.encoders import EncoderConfig
-from portraitflow.model import DiTConfig
+from portraitflow.model import (
+    ConditioningBundle,
+    DiTConfig,
+    model_forward,
+    project_condition_kv,
+)
+from portraitflow.numerics import Tensor, no_grad
 from portraitflow.sampling import (
     SampleConfig,
     cfg_velocity,
     checkpoint_mode,
+    guidance_pair,
     integrate_flow,
     sample,
 )
@@ -98,6 +109,89 @@ class TestSampleConfig:
         with pytest.raises(ValueError, match="omega_b"):
             SampleConfig(omega_b=-0.1)
         SampleConfig(omega_l=0.0, omega_b=1.0)  # bounds included
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_guidance_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="finite"):
+            SampleConfig(cfg_scale=scale)
+
+
+def random_bundle(state, mode, seed=0):
+    """A B=1 conditioning bundle of random conditions for `state`'s model."""
+    dit, params = state.dit, state.params
+    rng = np.random.default_rng(seed)
+    return ConditioningBundle(
+        audio=Tensor(rng.standard_normal((1, dit.audio_tokens, dit.audio_width))),
+        identity=Tensor(rng.standard_normal((1, dit.n_id, dit.width)) * 0.2),
+        motion=Tensor(rng.random((1, 2))),
+        reference=Tensor(rng.standard_normal((1, dit.video_tokens, dit.ref_channels)) * 0.2),
+        mode=mode,
+        mapping=segment_audio(dit.audio_tokens, dit.latent_frames),
+        null_audio=params["null_audio"],
+        null_identity=params["null_identity"])
+
+
+class TestGuidancePair:
+    @pytest.mark.parametrize("mode", ["clip", "frame"])
+    @pytest.mark.parametrize("drop_all", [False, True])
+    def test_rows_match_two_single_forwards(self, tiny_state, mode, drop_all):
+        state, _ = tiny_state
+        dit, params = state.dit, state.params
+        cond = random_bundle(state, mode, seed=4)
+        uncond = cond.drop(np.array([[True], [drop_all], [drop_all]]))
+        z = np.random.default_rng(5).standard_normal(
+            (1, dit.video_tokens, dit.latent_width)).astype(np.float32)
+        with no_grad():
+            pair = project_condition_kv(guidance_pair(cond, drop_all), params, dit)
+            rows = model_forward(Tensor(np.repeat(z, 2, axis=0)), 0.6, pair, params, dit).numpy()
+            for row, bundle in zip(rows, (cond, uncond)):
+                want = model_forward(Tensor(z), 0.6, bundle, params, dit).numpy()[0]
+                assert np.abs(row - want).max() <= 1e-6 * max(1.0, np.abs(want).max())
+        assert not np.array_equal(rows[0], rows[1])
+
+    def test_sample_runs_one_model_forward_per_step(self, tiny_state, monkeypatch):
+        state, samples = tiny_state
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return model_forward(*args, **kwargs)
+
+        monkeypatch.setattr(sampling, "model_forward", counting_forward)
+        sample(samples[0].video[0], samples[0].envelope, SampleConfig(steps=5, seed=1), state)
+        assert calls == [2] * 5
+
+
+class TestGuidanceGap:
+    @staticmethod
+    def gaps(state, samples, drop_all=False):
+        cfg = SampleConfig(steps=3, seed=2, drop_all_conditions=drop_all)
+        return sample(samples[3].video[0], samples[3].envelope, cfg, state)[1]["guidance_gap"]
+
+    @staticmethod
+    def with_audio_heads(state, fill):
+        params = dict(state.params)
+        for i in range(state.dit.depth):
+            for name in (f"block{i}.xa.wo", f"block{i}.xa.wo_b"):
+                params[name] = Tensor(np.zeros_like(params[name].data))
+        params["block0.xa.wo"] = Tensor(fill(params["block0.xa.wo"].shape))
+        return dataclasses.replace(state, params=params)
+
+    def test_one_gap_per_step(self, tiny_state):
+        state, samples = tiny_state
+        gaps = self.gaps(state, samples)
+        assert len(gaps) == 3 and all(g > 0.0 for g in gaps)
+
+    def test_zero_without_audio_heads_and_positive_with_one(self, tiny_state):
+        # with drop_all_conditions off the two rows differ only in audio,
+        # which reaches the output only through the xa.wo heads
+        state, samples = tiny_state
+        silent = self.with_audio_heads(state, np.zeros)
+        assert self.gaps(silent, samples) == [0.0, 0.0, 0.0]
+        assert all(g > 0.0 for g in self.gaps(silent, samples, drop_all=True))
+        rng = np.random.default_rng(6)
+        heard = self.with_audio_heads(state, lambda shape: rng.standard_normal(shape) * 0.1)
+        assert all(g > 0.0 for g in self.gaps(heard, samples))
 
 
 class TestSample:

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from portraitflow.alignment import segment_audio
-from portraitflow.encoders import EncoderConfig
+from portraitflow.encoders import (
+    EncoderConfig,
+    PixelVideo,
+    crop_face,
+    encode_audio,
+    identity_conv_features,
+    patchify_video,
+)
 from portraitflow.model import ConditioningBundle, DiTConfig, init_model_params
 from portraitflow.numerics import RngState, Tensor
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
@@ -237,6 +244,21 @@ class TestTrainLoop:
         assert cfg.lr == 1e-4 and cfg.eta == 0.2 and cfg.batch_size == 8
         assert (cfg.dropout_audio, cfg.dropout_identity, cfg.dropout_reference) \
             == (0.1, 0.1, 0.1)
+
+    def test_prepared_rows_match_per_sample_encoders(self, tiny_samples):
+        state = init_trainer(TINY_DIT, TINY_ENC, self._config(), tiny_samples)
+        enc_params = state.enc_params
+        data = prepare_training_tensors(tiny_samples, enc_params, TINY_ENC)
+        assert data.count == len(tiny_samples)
+        for i in (0, len(tiny_samples) - 1):
+            clip = tiny_samples[i]
+            assert np.array_equal(data.latents[i], patchify_video(
+                PixelVideo(clip.video), enc_params, TINY_ENC))
+            assert np.array_equal(data.audio[i], encode_audio(clip.envelope, enc_params, TINY_ENC))
+            assert np.array_equal(data.id_features[i], identity_conv_features(
+                crop_face(clip.video[0], TINY_ENC), enc_params, TINY_ENC).astype(np.float32))
+        with pytest.raises(ValueError, match="no samples"):
+            prepare_training_tensors([], enc_params, TINY_ENC)
 
     def test_zero_lr_step_reports_loss_without_update(self, tiny_samples):
         cfg = self._config(lr=0.0)

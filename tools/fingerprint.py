@@ -11,8 +11,9 @@ The run: a 20-clip seed-0 corpus at the default sizes; 12 `train_step`s
 clip-mode and one frame-mode 4-step `sample()` from clip 17; and a
 3-clip `evaluate_model` on the last 3 clips. It prints the sha256 of the
 prepared tensors, losses, parameters, videos and eval rows, one sha256
-over all five, and the autodiff graph nodes of each train step, counted
-from the loss as `bench/run.py` counts them.
+over all five, the autodiff graph nodes of each train step, counted
+from the loss as `bench/run.py` counts them, and the `model_forward`
+calls each `sample()` makes.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ def array_bytes(arr) -> bytes:
     return f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()
 
 
-def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]]]:
-    """Run the fixed pipeline; return the bytes of each output group and
-    the graph nodes per train step."""
+def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
+    """Run the fixed pipeline; return the bytes of each output group, the
+    graph nodes per train step and the model calls per sample by mode."""
     from portraitflow import evalmetrics, sampling, synthdata, training
     from portraitflow.encoders import EncoderConfig
     from portraitflow.model import DiTConfig
@@ -83,19 +84,30 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]]]:
     out["params"] = b"".join(name.encode() + array_bytes(state.params[name].data)
                              for name in sorted(state.params))
 
-    videos = []
+    videos, calls = [], {}
     clip = samples[TRAIN_CLIPS]
-    for mode in ("clip", "frame"):
-        cfg = sampling.SampleConfig(steps=SAMPLE_STEPS, seed=1, mode=mode)
-        video, info = sampling.sample(clip.video[0], clip.envelope, cfg, state)
-        videos.append(array_bytes(video.data) + json.dumps(info, sort_keys=True).encode())
+    model_forward = sampling.model_forward
+
+    def counting_forward(*args, **kwargs):
+        calls[mode] += 1
+        return model_forward(*args, **kwargs)
+
+    sampling.model_forward = counting_forward
+    try:
+        for mode in ("clip", "frame"):
+            calls[mode] = 0
+            cfg = sampling.SampleConfig(steps=SAMPLE_STEPS, seed=1, mode=mode)
+            video, info = sampling.sample(clip.video[0], clip.envelope, cfg, state)
+            videos.append(array_bytes(video.data) + json.dumps(info, sort_keys=True).encode())
+    finally:
+        sampling.model_forward = model_forward
     out["videos"] = b"".join(videos)
 
     report, rows = evalmetrics.evaluate_model(
         state, samples[-EVAL_CLIPS:], sampling.SampleConfig(steps=SAMPLE_STEPS, seed=2))
     out["rows"] = json.dumps({"report": report.to_json(), "rows": rows},
                              sort_keys=True).encode()
-    return out, nodes
+    return out, nodes, calls
 
 
 def main(argv=None) -> int:
@@ -109,7 +121,7 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(Path(args.src).resolve()))
 
-    out, nodes = run()
+    out, nodes, calls = run()
     total = hashlib.sha256()
     for name, blob in out.items():
         digest = hashlib.sha256(blob).hexdigest()
@@ -118,6 +130,9 @@ def main(argv=None) -> int:
     print(f"{'all':<9} {total.hexdigest()}")
     for stage, counts in nodes.items():
         print(f"graph nodes per {stage} step: max {max(counts)}, each {counts}")
+    for mode, count in calls.items():
+        print(f"model_forward calls per {mode}-mode sample(): {count} "
+              f"at {SAMPLE_STEPS} steps")
     return 0
 
 
