@@ -15,7 +15,7 @@ from typing import Dict
 
 import numpy as np
 
-from .numerics import RngState, Tensor, attention
+from .numerics import RngState, Tensor, attention, linear
 
 
 @dataclass(frozen=True)
@@ -226,10 +226,10 @@ def identity_conv_features(crop: np.ndarray, params: EncoderParams,
 def identity_attend(features: Tensor, params: Dict[str, Tensor]) -> Tensor:
     """Trainable half of the identity encoder: learned queries cross-attend
     to the (frozen) feature map. `features`: [... x n_feat x c_feat]."""
-    k = features @ params["id.wk"] + params["id.wk_b"]
-    v = features @ params["id.wv"] + params["id.wv_b"]
+    k = linear(features, params["id.wk"], params["id.wk_b"])
+    v = linear(features, params["id.wv"], params["id.wv_b"])
     out = attention(params["id.queries"], k, v)
-    return out @ params["id.wo"] + params["id.wo_b"]
+    return linear(out, params["id.wo"], params["id.wo_b"])
 
 
 def crop_face(frame: np.ndarray, config: EncoderConfig) -> np.ndarray:

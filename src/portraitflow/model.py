@@ -22,7 +22,7 @@ import numpy as np
 from .alignment import AudioVideoMap
 from .encoders import EncoderConfig
 from .motion import init_motion_params, motion_embed
-from .numerics import RngState, Tensor, attention, concat, layer_norm, silu
+from .numerics import RngState, Tensor, attention, concat, layer_norm, linear, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
 
@@ -222,11 +222,6 @@ def sinusoidal_features(t: np.ndarray, width: int) -> np.ndarray:
     return feats
 
 
-def modulate(x: Tensor, shift: Tensor, scale: Tensor) -> Tensor:
-    """x * (1 + scale) + shift with [B x 1 x c] parameters over [B x N x c]."""
-    return x * (1.0 + scale) + shift
-
-
 def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
                        config: DiTConfig) -> List[Tensor]:
     """One [B x 1 x 6c] modulation tensor per block, from the timestep
@@ -236,11 +231,11 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError(f"timestep values must lie in [0, 1], got {t_arr}")
     feats = Tensor(sinusoidal_features(t_arr, config.width))
-    h = silu(feats @ params["t_mlp1.w"] + params["t_mlp1.b"])
-    t_embed = h @ params["t_mlp2.w"] + params["t_mlp2.b"]
+    h = silu(linear(feats, params["t_mlp1.w"], params["t_mlp1.b"]))
+    t_embed = linear(h, params["t_mlp2.w"], params["t_mlp2.b"])
 
     gate_in = silu(t_embed + motion_embed(motion, params))
-    return [(gate_in @ params[f"block{i}.mod.w"] + params[f"block{i}.mod.b"])
+    return [linear(gate_in, params[f"block{i}.mod.w"], params[f"block{i}.mod.b"])
             .reshape(-1, 1, 6 * config.width) for i in range(config.depth)]
 
 
@@ -254,10 +249,6 @@ def _merge_heads(x: Tensor) -> Tensor:
     return x.transpose((0, 2, 1, 3)).reshape(b, n, h * d)
 
 
-def _ones_zeros(width: int, dtype) -> Tuple[Tensor, Tensor]:
-    return Tensor(np.ones(width, dtype=dtype)), Tensor(np.zeros(width, dtype=dtype))
-
-
 def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
                  config: DiTConfig, index: int) -> ConditionKV:
     """Block `index`'s head-split audio keys and values, then identity keys
@@ -269,11 +260,11 @@ def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
     b = f"block{index}."
     heads = config.heads
     audio = bundle.audio + params["pos_audio"]
-    ak = _split_heads(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"], heads)
-    av = _split_heads(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"], heads)
+    ak = _split_heads(linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"]), heads)
+    av = _split_heads(linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"]), heads)
     ident = bundle.identity
-    ik = _split_heads(ident @ params[b + "xid.wk"] + params[b + "xid.wk_b"], heads)
-    iv = _split_heads(ident @ params[b + "xid.wv"] + params[b + "xid.wv_b"], heads)
+    ik = _split_heads(linear(ident, params[b + "xid.wk"], params[b + "xid.wk_b"]), heads)
+    iv = _split_heads(linear(ident, params[b + "xid.wv"], params[b + "xid.wv_b"]), heads)
     return ak, av, ik, iv
 
 
@@ -297,7 +288,7 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     projection and no extra normalization."""
     b = f"block{index}."
     heads = config.heads
-    q = _split_heads(z @ params[b + "attn.wq"] + params[b + "attn.wq_b"], heads)
+    q = _split_heads(linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"]), heads)
     ak, av, ik, iv = condition_kv(bundle, params, config, index)
     if bundle.mode == "frame":
         if not bundle.mapping.is_uniform():
@@ -312,8 +303,9 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
         att = attention(qf, kf, vf).reshape(bsz, heads, n, hd)
     else:
         att = attention(q, ak, av)
-    audio_inc = _merge_heads(att) @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
-    id_inc = _merge_heads(attention(q, ik, iv)) @ params[b + "xid.wo"] + params[b + "xid.wo_b"]
+    audio_inc = linear(_merge_heads(att), params[b + "xa.wo"], params[b + "xa.wo_b"])
+    id_att = _merge_heads(attention(q, ik, iv))
+    id_inc = linear(id_att, params[b + "xid.wo"], params[b + "xid.wo_b"])
     return audio_inc, id_inc
 
 
@@ -325,21 +317,20 @@ def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
     heads, c = config.heads, config.width
     shift1, scale1, gate1, shift2, scale2, gate2 = (
         mod.narrow(-1, j * c, c) for j in range(6))
-    ones, zeros = _ones_zeros(c, z.data.dtype)
 
-    h = modulate(layer_norm(z, ones, zeros), shift1, scale1)
-    q = _split_heads(h @ params[b + "attn.wq"] + params[b + "attn.wq_b"], heads)
-    k = _split_heads(h @ params[b + "attn.wk"] + params[b + "attn.wk_b"], heads)
-    v = _split_heads(h @ params[b + "attn.wv"] + params[b + "attn.wv_b"], heads)
-    sa = _merge_heads(attention(q, k, v)) @ params[b + "attn.wo"] + params[b + "attn.wo_b"]
+    h = layer_norm(z, 1.0 + scale1, shift1)
+    q = _split_heads(linear(h, params[b + "attn.wq"], params[b + "attn.wq_b"]), heads)
+    k = _split_heads(linear(h, params[b + "attn.wk"], params[b + "attn.wk_b"]), heads)
+    v = _split_heads(linear(h, params[b + "attn.wv"], params[b + "attn.wv_b"]), heads)
+    sa = linear(_merge_heads(attention(q, k, v)), params[b + "attn.wo"], params[b + "attn.wo_b"])
     z = z + gate1 * sa
 
     audio_inc, id_inc = cross_attention_increments(z, bundle, params, config, index)
     z = z + config.lambda_audio * audio_inc + config.lambda_identity * id_inc
 
-    h2 = modulate(layer_norm(z, ones, zeros), shift2, scale2)
-    m = silu(h2 @ params[b + "mlp1.w"] + params[b + "mlp1.b"])
-    m = m @ params[b + "mlp2.w"] + params[b + "mlp2.b"]
+    h2 = layer_norm(z, 1.0 + scale2, shift2)
+    m = silu(linear(h2, params[b + "mlp1.w"], params[b + "mlp1.b"]))
+    m = linear(m, params[b + "mlp2.w"], params[b + "mlp2.b"])
     return z + gate2 * m
 
 
@@ -353,13 +344,13 @@ def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
             f"expected [B x {config.video_tokens} x c] video tokens, got {z_t.shape}")
 
     x = concat([z_t, bundle.reference], axis=-1)
-    x = x @ params["in_proj.w"] + params["in_proj.b"]
+    x = linear(x, params["in_proj.w"], params["in_proj.b"])
     x = x + params["pos_video"]
 
     mods = timestep_embedding(t, bundle.motion, params, config)
     for i in range(config.depth):
         x = dit_block(x, bundle, mods[i], params, config, i)
 
-    ones, zeros = _ones_zeros(config.width, x.data.dtype)
-    x = layer_norm(x, ones, zeros)
-    return x @ params["out_proj.w"] + params["out_proj.b"]
+    c = config.width
+    x = layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)))
+    return linear(x, params["out_proj.w"], params["out_proj.b"])

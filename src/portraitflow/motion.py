@@ -13,7 +13,7 @@ from typing import Dict
 
 import numpy as np
 
-from .numerics import RngState, Tensor, silu
+from .numerics import RngState, Tensor, linear, silu
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,12 @@ def motion_embed(omega: Tensor, params: Dict[str, Tensor]) -> Tensor:
     omega = Tensor._wrap(omega)
     squeeze = omega.ndim == 1
     x = omega.reshape(1, 2) if squeeze else omega
-    h = silu(x @ params["motion.mlp1.w"] + params["motion.mlp1.b"])
-    h = h @ params["motion.mlp2.w"] + params["motion.mlp2.b"]
-    r = silu(h @ params["motion.res1.w"] + params["motion.res1.b"])
-    h = h + (r @ params["motion.res2.w"] + params["motion.res2.b"])
+    h = silu(linear(x, params["motion.mlp1.w"], params["motion.mlp1.b"]))
+    h = linear(h, params["motion.mlp2.w"], params["motion.mlp2.b"])
+    r = silu(linear(h, params["motion.res1.w"], params["motion.res1.b"]))
+    h = h + linear(r, params["motion.res2.w"], params["motion.res2.b"])
     width = params["motion.mlp2.w"].shape[-1]
-    expanded = h @ params["motion.expand.w"] + params["motion.expand.b"]
+    expanded = linear(h, params["motion.expand.w"], params["motion.expand.b"])
     batch = expanded.shape[0]
     pooled = expanded.reshape(batch, EXPANSION, width).mean(axis=1)
     return pooled.reshape(width) if squeeze else pooled

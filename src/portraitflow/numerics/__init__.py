@@ -1,6 +1,6 @@
 """Minimal dense-tensor math with reverse-mode gradients."""
 
-from .functional import LAYER_NORM_EPS, attention, layer_norm, silu, softmax_lastaxis
+from .functional import LAYER_NORM_EPS, attention, layer_norm, linear, silu, softmax_lastaxis
 from .gradcheck import grad_check
 from .rng import RngState
 from .serialize import load_tensor, save_tensor
@@ -14,6 +14,7 @@ __all__ = [
     "concat",
     "grad_check",
     "layer_norm",
+    "linear",
     "load_tensor",
     "no_grad",
     "precision",

@@ -1,4 +1,4 @@
-"""Differentiable building blocks: softmax, layer norm, attention, silu.
+"""Differentiable building blocks: softmax, linear, layer norm, attention, silu.
 
 All operations act on the trailing axis (or trailing two axes for
 attention) and broadcast over any leading batch axes.
@@ -16,6 +16,14 @@ LAYER_NORM_EPS = 1e-5
 NEG_INF = float("-inf")
 
 
+def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
+    """Stabilized softmax over the last axis, computed in place in `scores`."""
+    scores -= np.max(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def softmax_lastaxis(x: Tensor) -> Tensor:
     """Numerically stabilized softmax over the last axis.
 
@@ -26,15 +34,37 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     x = Tensor._wrap(x)
     if x.data.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
-    out_data = x.data - np.max(x.data, axis=-1, keepdims=True)
-    np.exp(out_data, out=out_data)
-    out_data /= out_data.sum(axis=-1, keepdims=True)
+    out_data = _softmax_inplace(x.data.copy())
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner))
+        x._accumulate(out_data * (g - inner), fresh=True)
 
     return Tensor._result(out_data, (x,), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for `x` [... x c_in], `w` [c_in x c_out], `b` [c_out], as
+    one node. The leading axes are flattened, so the forward is one GEMM;
+    the backward is g w^T for x (skipped when x is a constant), one
+    x^T g GEMM for w and a row sum for b."""
+    x, w, b = Tensor._wrap(x), Tensor._wrap(w), Tensor._wrap(b)
+    c_in, c_out = w.data.shape
+    if x.data.shape[-1] != c_in or b.data.shape != (c_out,):
+        raise ValueError(f"linear shapes do not fit: x {x.data.shape}, "
+                         f"w {w.data.shape}, b {b.data.shape}")
+    x2 = x.data.reshape(-1, c_in)
+    out_data = (x2 @ w.data).reshape(x.data.shape[:-1] + (c_out,))
+    out_data += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, c_out)
+        if x.requires_grad or x._parents:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
+        w._accumulate(x2.T @ g2, fresh=True)
+        b._accumulate(g2.sum(axis=0), fresh=True)
+
+    return Tensor._result(out_data, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
@@ -59,8 +89,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         gxhat = g * gain.data
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (gxhat - m1 - xhat * m2))
-        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        x._accumulate(inv * (gxhat - m1 - xhat * m2), fresh=True)
+        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape), fresh=True)
         bias._accumulate(_unbroadcast(g, bias.data.shape))
 
     return Tensor._result(out_data, (x, gain, bias), backward)
@@ -73,17 +103,21 @@ def silu(x: Tensor) -> Tensor:
     out_data = x.data * sig
 
     def backward(g):
-        x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))))
+        x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))), fresh=True)
 
     return Tensor._result(out_data, (x,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None) -> Tensor:
-    """Scaled dot-product attention over the trailing two axes.
+    """Scaled dot-product attention over the trailing two axes, as one node.
 
-    `mask` is additive with entries 0 (keep) or -inf (block); blocked
-    keys receive exactly zero weight. A fully blocked query row is a
-    degenerate attention row and raises.
+    `mask` is additive with entries 0 (keep) or -inf (block) and
+    broadcasts against the scores; blocked keys receive exactly zero
+    weight. A fully blocked query row is a degenerate attention row and
+    raises. Leading axes broadcast as in matmul. The backward is closed
+    form from the saved weights P: dV = P^T dO, dP = dO V^T and
+    dS = scale * P * (dP - rowsum(dP * P)), where rowsum(dP * P) equals
+    rowsum(dO * O) (FlashAttention's D), the cheaper of the two.
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
     head_dim = q.data.shape[-1]
@@ -93,15 +127,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None) ->
         raise ValueError(f"q/k widths differ: {q.data.shape} vs {k.data.shape}")
     if v.data.shape[-2] != k.data.shape[-2]:
         raise ValueError(f"k/v lengths differ: {k.data.shape} vs {v.data.shape}")
-    swap_last = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = (q @ k.transpose(swap_last)) * (1.0 / float(np.sqrt(head_dim)))
+    scale = 1.0 / float(np.sqrt(head_dim))
+    weights = q.data @ np.swapaxes(k.data, -1, -2)
+    weights *= scale
     if mask is not None:
-        mask = Tensor._wrap(mask)
-        blocked = np.isneginf(mask.data)
-        if not np.logical_or(mask.data == 0.0, blocked).all():
+        mask = Tensor._wrap(mask).data
+        blocked = np.isneginf(mask)
+        if not np.logical_or(mask == 0.0, blocked).all():
             raise ValueError("attention mask entries must be 0 or -inf")
         if blocked.all(axis=-1).any():
             raise ValueError("attention mask blocks an entire query row")
-        scores = scores + mask
-    weights = softmax_lastaxis(scores)
-    return weights @ v
+        weights += mask
+    _softmax_inplace(weights)
+    out_data = weights @ v.data
+
+    def backward(g):
+        v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape),
+                      fresh=True)
+        # scale folded into dO; rowsum(dP * P) taken as rowsum(dO * O),
+        # over the head width instead of the key length
+        g = g * scale
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        ds -= (g * out_data).sum(axis=-1, keepdims=True)
+        ds *= weights
+        q._accumulate(_unbroadcast(ds @ k.data, q.data.shape), fresh=True)
+        k._accumulate(_unbroadcast(np.swapaxes(ds, -1, -2) @ q.data, k.data.shape),
+                      fresh=True)
+
+    return Tensor._result(out_data, (q, k, v), backward)

@@ -89,9 +89,16 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add `grad` into `self.grad`; a constant leaf keeps none. `fresh`
+        marks an array the calling backward has just built and holds no
+        other reference to, so the first one is adopted instead of copied;
+        the upstream gradient and views of it are never fresh."""
+        if not (self.requires_grad or self._parents):
+            return
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            adopt = fresh and grad.dtype == self.data.dtype
+            self.grad = grad if adopt else grad.astype(self.data.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -159,7 +166,7 @@ class Tensor:
 
         def backward(g):
             a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
 
         return self._result(out_data, (a, b), backward)
 
@@ -170,7 +177,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(-g)
+            a._accumulate(-g, fresh=True)
 
         return self._result(-a.data, (a,), backward)
 
@@ -180,8 +187,8 @@ class Tensor:
         out_data = a.data * b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
         return self._result(out_data, (a, b), backward)
 
@@ -197,8 +204,10 @@ class Tensor:
         out_data = a.data @ b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                          fresh=True)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
+                          fresh=True)
 
         return self._result(out_data, (a, b), backward)
 
@@ -206,7 +215,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g * (2.0 * a.data))
+            a._accumulate(g * (2.0 * a.data), fresh=True)
 
         return self._result(a.data * a.data, (a,), backward)
 
@@ -244,7 +253,7 @@ class Tensor:
         def backward(g):
             full = np.zeros_like(a.data)
             full[index] = g
-            a._accumulate(full)
+            a._accumulate(full, fresh=True)
 
         return self._result(a.data[index], (a,), backward)
 
@@ -257,12 +266,12 @@ class Tensor:
 
         def backward(g):
             if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+                a._accumulate(np.broadcast_to(g, a.data.shape).copy(), fresh=True)
                 return
             if not keepdims:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), fresh=True)
 
         return self._result(out_data, (a,), backward)
 

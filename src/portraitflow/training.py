@@ -49,6 +49,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("steps_clip", "steps_frame"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         for name in ("dropout_audio", "dropout_identity", "dropout_reference"):
@@ -182,15 +189,18 @@ class Adam:
             p = params[name]
             if not p.requires_grad or p.grad is None:
                 continue
-            g = p.grad.astype(np.float32)
+            g = np.asarray(p.grad, dtype=np.float32)
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * g * g
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.EPS)).astype(p.data.dtype)
+            # in place, in the order of m = b1*m + (1-b1)*g and
+            # v = b2*v + (1-b2)*g*g, so the bits match those formulas
+            m, v = self.m[name], self.v[name]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
     def zero_grad(self, params: Dict[str, Tensor]) -> None:
         for p in params.values():

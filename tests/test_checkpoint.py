@@ -201,6 +201,18 @@ class TestMalformed:
             line for line in h.splitlines(True) if not line.startswith("state.step"))))
         _inspect_fails_cleanly(path, capsys)
 
+    @pytest.mark.parametrize("line", ["train.lr = -0.5", "train.batch_size = 0",
+                                      "train.steps_frame = -1"])
+    def test_impossible_training_value_in_header_rejected(self, saved_bytes, tmp_path,
+                                                          line):
+        key = line.split(" =")[0]
+        path = tmp_path / "badtrain.pfck"
+        path.write_bytes(_with_header(saved_bytes, lambda h: "".join(
+            line + "\n" if old.startswith(key + " ") else old
+            for old in h.splitlines(True))))
+        with pytest.raises(ValueError, match=key.split(".")[1]):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("edit", ["rename enc.audio_b", "rename model.id.wo_b",
                                       "rename opt.v.pos_audio", "reshape model.in_proj.b"])
     def test_tensor_set_must_match_header(self, saved_bytes, tmp_path, capsys, edit):

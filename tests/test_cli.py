@@ -129,6 +129,30 @@ def test_non_finite_cfg_scale_rejected(workspace, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--batch", "0", "batch_size"), ("--lr", "-1", "lr"), ("--lr", "nan", "lr"),
+    ("--steps-clip", "-3", "steps_clip")])
+def test_impossible_training_values_rejected(workspace, capsys, flag, value, field):
+    # at 0 / -1 / nan / -3 these crashed, ascended, diverged or "trained 0 steps"
+    out = workspace / f"bad_{flag.strip('-')}_{value}"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--steps-clip", "1", "--steps-frame", "0", "--holdout", "3",
+                 "--depth", "1", "--width", "16", flag, value]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not out.exists()
+
+
+def test_impossible_training_value_in_config_file_rejected(workspace, capsys):
+    cfg = workspace / "zero_batch.cfg"
+    cfg.write_text("train.batch_size = 0\n")
+    assert main(["train", "--data", str(workspace / "data"), "--out",
+                 str(workspace / "zero_batch_run"), "--config", str(cfg),
+                 "--holdout", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "batch_size" in err[0], err
+
+
 def test_unreadable_checkpoint_fails_with_diagnostic(workspace, capsys, tmp_path):
     bad = tmp_path / "bad.pfck"
     bad.write_bytes(b"garbage")

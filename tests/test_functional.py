@@ -8,6 +8,7 @@ from portraitflow.numerics import (
     attention,
     grad_check,
     layer_norm,
+    linear,
     silu,
     softmax_lastaxis,
 )
@@ -84,6 +85,46 @@ class TestLayerNorm:
             err = grad_check(
                 lambda p: layer_norm(p["x"], p["g"], p["b"]).square().sum(), params)
             assert err <= 1e-4
+
+    def test_backward_with_per_sample_affine(self):
+        # the block modulation: layer_norm(z, 1 + scale, shift), [B x 1 x c] each
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = {
+                "x": Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True),
+                "g": Tensor(rng.standard_normal((2, 1, 4)), requires_grad=True),
+                "b": Tensor(rng.standard_normal((2, 1, 4)), requires_grad=True),
+            }
+            err = grad_check(
+                lambda p: layer_norm(p["x"], p["g"], p["b"]).square().sum(), params)
+            assert err <= 1e-4
+
+
+class TestLinear:
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(0)
+        x, w, b = (Tensor(rng.standard_normal(s)) for s in ((2, 3, 5), (5, 4), (4,)))
+        assert np.allclose(linear(x, w, b).numpy(), (x @ w + b).numpy(), atol=1e-6)
+
+    @pytest.mark.parametrize("x_shape", [(3, 5), (2, 4, 5)], ids=["2d", "3d"])
+    def test_backward_matches_finite_differences(self, x_shape):
+        # 2-D is the timestep path's [B x c]; 3-D every token projection
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            params = {
+                "x": Tensor(rng.standard_normal(x_shape), requires_grad=True),
+                "w": Tensor(rng.standard_normal((5, 3)), requires_grad=True),
+                "b": Tensor(rng.standard_normal(3), requires_grad=True),
+            }
+            err = grad_check(
+                lambda p: linear(p["x"], p["w"], p["b"]).square().sum(), params)
+            assert err <= 1e-4
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="linear shapes"):
+            linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ValueError, match="linear shapes"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 2))))
 
 
 class TestSilu:
@@ -188,6 +229,41 @@ class TestAttention:
                 lambda p: attention(p["q"], p["k"], p["v"]).square().sum(), params)
             assert err <= 1e-4
 
+    ATTENTION_SHAPES = {
+        # self-attention heads [B x H x N x d]
+        "heads_4d": ((2, 2, 5, 4), (2, 2, 6, 4)),
+        # frame-scoped audio attention [B x H x f x hw x d]
+        "frame_5d": ((2, 2, 3, 4, 4), (2, 2, 3, 2, 4)),
+        # identity_attend: shared [n_id x c] queries against [B x n_feat x c]
+        "queries_2d": ((3, 4), (2, 5, 4)),
+        # identity keys shared over the batch [1 x H x n_id x d]
+        "keys_broadcast": ((2, 2, 5, 4), (1, 2, 3, 4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
+    def test_backward_at_model_shapes(self, case):
+        q_shape, kv_shape = self.ATTENTION_SHAPES[case]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params = {
+                "q": Tensor(rng.standard_normal(q_shape), requires_grad=True),
+                "k": Tensor(rng.standard_normal(kv_shape), requires_grad=True),
+                "v": Tensor(rng.standard_normal(kv_shape), requires_grad=True),
+            }
+            err = grad_check(
+                lambda p: attention(p["q"], p["k"], p["v"]).square().sum(), params)
+            assert err <= 1e-4, f"{case} seed {seed}"
+
+    def test_forward_matches_composed_graph_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (Tensor(rng.standard_normal((2, 2, 5, 4))) for _ in range(3))
+        mask = np.zeros((5, 5))
+        mask[1, 3:] = -np.inf
+        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / float(np.sqrt(4)))
+        expected = softmax_lastaxis(scores + Tensor(mask)) @ v
+        out = attention(q, k, v, Tensor(mask))
+        assert np.array_equal(out.numpy(), expected.numpy())
+
     def test_backward_with_mask_matches_finite_differences(self):
         rng = np.random.default_rng(33)
         mask = np.zeros((3, 5))
@@ -197,6 +273,21 @@ class TestAttention:
             "q": Tensor(rng.standard_normal((3, 4)), requires_grad=True),
             "k": Tensor(rng.standard_normal((5, 4)), requires_grad=True),
             "v": Tensor(rng.standard_normal((5, 4)), requires_grad=True),
+        }
+        err = grad_check(
+            lambda p: attention(p["q"], p["k"], p["v"], Tensor(mask)).square().sum(),
+            params)
+        assert err <= 1e-4
+
+    def test_backward_with_mask_over_heads(self):
+        rng = np.random.default_rng(34)
+        mask = np.zeros((5, 6))
+        mask[0, 3:] = -np.inf
+        mask[4, :4] = -np.inf
+        params = {
+            "q": Tensor(rng.standard_normal((2, 2, 5, 4)), requires_grad=True),
+            "k": Tensor(rng.standard_normal((2, 2, 6, 4)), requires_grad=True),
+            "v": Tensor(rng.standard_normal((2, 2, 6, 4)), requires_grad=True),
         }
         err = grad_check(
             lambda p: attention(p["q"], p["k"], p["v"], Tensor(mask)).square().sum(),

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from portraitflow.numerics import Tensor, concat, grad_check, no_grad, precision
+from portraitflow.numerics import Tensor, concat, grad_check, linear, no_grad, precision
 from portraitflow.numerics.tensor import _unbroadcast
 
 
@@ -65,6 +65,44 @@ def test_gradient_accumulates_for_shared_parameters():
     loss = (x * 3.0 + x * 5.0).sum()
     loss.backward()
     assert np.allclose(x.grad, [8.0])
+
+
+def test_constant_leaf_keeps_no_gradient():
+    rng = np.random.default_rng(1)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    const = Tensor(rng.standard_normal((4, 3)))
+    scale = Tensor(rng.standard_normal((4, 2)))
+    loss = (linear(const, w, Tensor(np.zeros(2))) * scale).square().sum()
+    loss.backward()
+    assert const.grad is None and scale.grad is None
+    assert w.grad is not None and np.abs(w.grad).max() > 0
+
+
+ALIAS_CASES = [
+    # an input feeding two linears and an additive path: its first gradient
+    # arrives from whichever consumer runs first, and later ones add to it
+    ("linear_product_plus_input",
+     lambda p, lin1, lin2: (lin1 * lin2 + p["x"]).square().sum()),
+    ("input_plus_linear_then_product",
+     lambda p, lin1, lin2: ((p["x"] + lin1) * lin2).square().sum()),
+    ("sum_of_all_three",
+     lambda p, lin1, lin2: (lin1 + p["x"] + lin2).square().sum()),
+]
+
+
+@pytest.mark.parametrize("name,combine", ALIAS_CASES, ids=[c[0] for c in ALIAS_CASES])
+def test_aliased_input_gradient_matches_finite_differences(name, combine):
+    def fn(p):
+        lin1 = linear(p["x"], p["w1"], p["b1"])
+        lin2 = linear(p["x"], p["w2"], p["b2"])
+        return combine(p, lin1, lin2)
+
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        params = {"x": _random_tensor(rng, (2, 3, 4)),
+                  "w1": _random_tensor(rng, (4, 4)), "b1": _random_tensor(rng, (4,)),
+                  "w2": _random_tensor(rng, (4, 4)), "b2": _random_tensor(rng, (4,))}
+        assert grad_check(fn, params) <= 1e-4, f"{name} failed at seed {seed}"
 
 
 def test_backward_requires_scalar():
