@@ -88,8 +88,8 @@ def cmd_train(args) -> int:
     dit, enc, train = flat_to_configs(flat)
 
     holdout = args.holdout
-    if holdout >= len(samples):
-        raise ValueError(f"holdout {holdout} >= corpus size {len(samples)}")
+    if not 0 <= holdout < len(samples):
+        raise ValueError(f"holdout {holdout} must lie in [0, corpus size {len(samples)})")
     train_samples = samples[:len(samples) - holdout] if holdout else samples
 
     out = Path(args.out)
@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
 
 def _load_reference(path) -> np.ndarray:
     arr = load_tensor(path)
-    if arr.ndim == 4:
+    if arr.ndim == 4 and len(arr):
         arr = arr[0]
     if arr.ndim != 3 or arr.shape[-1] != 3:
         raise ValueError(f"reference {path}: expected [H,W,3] or [F,H,W,3], "

@@ -187,26 +187,6 @@ def init_model_params(config: DiTConfig, rng: RngState,
     return params
 
 
-def param_count(config: DiTConfig) -> int:
-    """Closed-form trainable parameter count; guards architecture drift."""
-    c, ca, cm = config.width, config.audio_width, config.mlp_width
-    n = 0
-    n += (config.latent_width + config.ref_channels) * c + c        # in_proj
-    n += config.video_tokens * c + config.audio_tokens * ca         # positions
-    n += ca + c                                                     # null embeddings
-    n += 2 * (c * c + c)                                            # timestep MLP
-    n += c * config.latent_width + config.latent_width              # out_proj
-    n += config.n_id * c + 2 * (config.id_feat_width * c + c) + c * c + c   # id encoder head
-    n += (2 * c + c) + (c * c + c) + 2 * (c * c + c) + (c * 4 * c + 4 * c)  # motion net
-    per_block = (c * 6 * c + 6 * c)                                 # modulation head
-    per_block += 4 * (c * c + c)                                    # self-attention
-    per_block += 2 * (ca * c + c) + (c * c + c)                     # audio cross
-    per_block += 3 * (c * c + c)                                    # identity cross
-    per_block += c * cm + cm + cm * c + c                           # mlp
-    n += config.depth * per_block
-    return n
-
-
 # ----------------------------------------------------------------------
 # forward pieces
 
@@ -239,32 +219,21 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
             .reshape(-1, 1, 6 * config.width) for i in range(config.depth)]
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, n, c = x.shape
-    return x.reshape(b, n, heads, c // heads).transpose((0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, n, d = x.shape
-    return x.transpose((0, 2, 1, 3)).reshape(b, n, h * d)
-
-
 def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
                  config: DiTConfig, index: int) -> ConditionKV:
-    """Block `index`'s head-split audio keys and values, then identity keys
+    """Block `index`'s projected audio keys and values, then identity keys
     and values. They depend only on the conditions and the parameters:
     read from `bundle.kv` once `project_condition_kv` has filled it,
     computed here otherwise."""
     if bundle.kv is not None:
         return bundle.kv[index]
     b = f"block{index}."
-    heads = config.heads
     audio = bundle.audio + params["pos_audio"]
-    ak = _split_heads(linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"]), heads)
-    av = _split_heads(linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"]), heads)
+    ak = linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"])
+    av = linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"])
     ident = bundle.identity
-    ik = _split_heads(linear(ident, params[b + "xid.wk"], params[b + "xid.wk_b"]), heads)
-    iv = _split_heads(linear(ident, params[b + "xid.wv"], params[b + "xid.wv_b"]), heads)
+    ik = linear(ident, params[b + "xid.wk"], params[b + "xid.wk_b"])
+    iv = linear(ident, params[b + "xid.wv"], params[b + "xid.wv_b"])
     return ak, av, ik, iv
 
 
@@ -288,23 +257,19 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     projection and no extra normalization."""
     b = f"block{index}."
     heads = config.heads
-    q = _split_heads(linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"]), heads)
+    q = linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"])
     ak, av, ik, iv = condition_kv(bundle, params, config, index)
     if bundle.mode == "frame":
         if not bundle.mapping.is_uniform():
             raise ValueError("frame mode requires equal-length audio segments")
-        bsz, _, n, hd = q.shape
         f = bundle.mapping.frames
-        hw = n // f
-        seg = bundle.mapping.segment_lengths()[0]
-        qf = q.reshape(bsz, heads, f, hw, hd)
-        kf = ak.reshape(bsz, heads, f, seg, hd)
-        vf = av.reshape(bsz, heads, f, seg, hd)
-        att = attention(qf, kf, vf).reshape(bsz, heads, n, hd)
+        # [B x n x c] -> [B x f x n/f x c]: each frame's tokens and segment
+        qf, kf, vf = (x.reshape(x.shape[0], f, -1, config.width) for x in (q, ak, av))
+        att = attention(qf, kf, vf, heads=heads).reshape(q.shape)
     else:
-        att = attention(q, ak, av)
-    audio_inc = linear(_merge_heads(att), params[b + "xa.wo"], params[b + "xa.wo_b"])
-    id_att = _merge_heads(attention(q, ik, iv))
+        att = attention(q, ak, av, heads=heads)
+    audio_inc = linear(att, params[b + "xa.wo"], params[b + "xa.wo_b"])
+    id_att = attention(q, ik, iv, heads=heads)
     id_inc = linear(id_att, params[b + "xid.wo"], params[b + "xid.wo_b"])
     return audio_inc, id_inc
 
@@ -314,15 +279,16 @@ def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
     """`mod` is the block's [B x 1 x 6c] modulation tensor: shift, scale
     and gate of the self-attention branch, then of the MLP branch."""
     b = f"block{index}."
-    heads, c = config.heads, config.width
+    c = config.width
     shift1, scale1, gate1, shift2, scale2, gate2 = (
         mod.narrow(-1, j * c, c) for j in range(6))
 
     h = layer_norm(z, 1.0 + scale1, shift1)
-    q = _split_heads(linear(h, params[b + "attn.wq"], params[b + "attn.wq_b"]), heads)
-    k = _split_heads(linear(h, params[b + "attn.wk"], params[b + "attn.wk_b"]), heads)
-    v = _split_heads(linear(h, params[b + "attn.wv"], params[b + "attn.wv_b"]), heads)
-    sa = linear(_merge_heads(attention(q, k, v)), params[b + "attn.wo"], params[b + "attn.wo_b"])
+    q = linear(h, params[b + "attn.wq"], params[b + "attn.wq_b"])
+    k = linear(h, params[b + "attn.wk"], params[b + "attn.wk_b"])
+    v = linear(h, params[b + "attn.wv"], params[b + "attn.wv_b"])
+    sa = linear(attention(q, k, v, heads=config.heads),
+                params[b + "attn.wo"], params[b + "attn.wo_b"])
     z = z + gate1 * sa
 
     audio_inc, id_inc = cross_attention_increments(z, bundle, params, config, index)

@@ -38,7 +38,7 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner), fresh=True)
+        x._accumulate(out_data * (g - inner))
 
     return Tensor._result(out_data, (x,), backward)
 
@@ -60,9 +60,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g2 = g.reshape(-1, c_out)
         if x.requires_grad or x._parents:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape), fresh=True)
-        w._accumulate(x2.T @ g2, fresh=True)
-        b._accumulate(g2.sum(axis=0), fresh=True)
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        w._accumulate(x2.T @ g2)
+        b._accumulate(g2.sum(axis=0))
 
     return Tensor._result(out_data, (x, w, b), backward)
 
@@ -89,8 +89,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         gxhat = g * gain.data
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (gxhat - m1 - xhat * m2), fresh=True)
-        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape), fresh=True)
+        x._accumulate(inv * (gxhat - m1 - xhat * m2))
+        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
         bias._accumulate(_unbroadcast(g, bias.data.shape))
 
     return Tensor._result(out_data, (x, gain, bias), backward)
@@ -103,35 +103,51 @@ def silu(x: Tensor) -> Tensor:
     out_data = x.data * sig
 
     def backward(g):
-        x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))), fresh=True)
+        x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))))
 
     return Tensor._result(out_data, (x,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None) -> Tensor:
-    """Scaled dot-product attention over the trailing two axes, as one node.
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
+              heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention for `q` [... x n_q x c] and
+    `k`, `v` [... x n_k x c], as one node; leading axes broadcast as in
+    matmul. The width `c` splits into `heads` heads of c/heads, attended
+    separately and merged back, so the output is [... x n_q x c].
 
-    `mask` is additive with entries 0 (keep) or -inf (block) and
-    broadcasts against the scores; blocked keys receive exactly zero
+    `mask` is an [n_q x n_k] additive mask shared by all heads, with
+    entries 0 (keep) or -inf (block); blocked keys receive exactly zero
     weight. A fully blocked query row is a degenerate attention row and
-    raises. Leading axes broadcast as in matmul. The backward is closed
-    form from the saved weights P: dV = P^T dO, dP = dO V^T and
-    dS = scale * P * (dP - rowsum(dP * P)), where rowsum(dP * P) equals
-    rowsum(dO * O) (FlashAttention's D), the cheaper of the two.
+    raises. The backward is closed form from the saved weights P:
+    dV = P^T dO, dP = dO V^T and dS = scale * P * (dP - rowsum(dP * P)),
+    where rowsum(dP * P) equals rowsum(dO * O) (FlashAttention's D), the
+    cheaper of the two.
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
-    head_dim = q.data.shape[-1]
-    if head_dim < 1:
-        raise ValueError("attention head dimension must be positive")
-    if k.data.shape[-1] != head_dim:
-        raise ValueError(f"q/k widths differ: {q.data.shape} vs {k.data.shape}")
+    width = q.data.shape[-1]
+    if heads < 1 or width < 1 or width % heads:
+        raise ValueError(f"attention width {width} does not split into {heads} heads")
+    if k.data.shape[-1] != width or v.data.shape[-1] != width:
+        raise ValueError(f"q/k/v widths differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if v.data.shape[-2] != k.data.shape[-2]:
         raise ValueError(f"k/v lengths differ: {k.data.shape} vs {v.data.shape}")
-    scale = 1.0 / float(np.sqrt(head_dim))
-    weights = q.data @ np.swapaxes(k.data, -1, -2)
+
+    def split(a):  # [... x n x c] -> [... x heads x n x c/heads], a view
+        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, width // heads)), -2, -3)
+
+    def merge(a):  # the inverse of `split`, one copy
+        a = np.swapaxes(a, -2, -3)
+        return a.reshape(a.shape[:-2] + (width,))
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / float(np.sqrt(width // heads))
+    weights = qh @ np.swapaxes(kh, -1, -2)
     weights *= scale
     if mask is not None:
         mask = Tensor._wrap(mask).data
+        if mask.shape != weights.shape[-2:]:
+            raise ValueError(f"attention mask must be [n_q x n_k] = "
+                             f"{weights.shape[-2:]}, got {mask.shape}")
         blocked = np.isneginf(mask)
         if not np.logical_or(mask == 0.0, blocked).all():
             raise ValueError("attention mask entries must be 0 or -inf")
@@ -139,19 +155,18 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None) ->
             raise ValueError("attention mask blocks an entire query row")
         weights += mask
     _softmax_inplace(weights)
-    out_data = weights @ v.data
+    out_heads = weights @ vh
 
     def backward(g):
-        v._accumulate(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, v.data.shape),
-                      fresh=True)
+        g = split(g)
+        v._accumulate(merge(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, vh.shape)))
         # scale folded into dO; rowsum(dP * P) taken as rowsum(dO * O),
         # over the head width instead of the key length
         g = g * scale
-        ds = g @ np.swapaxes(v.data, -1, -2)
-        ds -= (g * out_data).sum(axis=-1, keepdims=True)
+        ds = g @ np.swapaxes(vh, -1, -2)
+        ds -= (g * out_heads).sum(axis=-1, keepdims=True)
         ds *= weights
-        q._accumulate(_unbroadcast(ds @ k.data, q.data.shape), fresh=True)
-        k._accumulate(_unbroadcast(np.swapaxes(ds, -1, -2) @ q.data, k.data.shape),
-                      fresh=True)
+        q._accumulate(merge(_unbroadcast(ds @ kh, qh.shape)))
+        k._accumulate(merge(_unbroadcast(np.swapaxes(ds, -1, -2) @ qh, kh.shape)))
 
-    return Tensor._result(out_data, (q, k, v), backward)
+    return Tensor._result(merge(out_heads), (q, k, v), backward)

@@ -3,7 +3,9 @@
 Tensors hold row-major numpy arrays in the calling thread's compute
 dtype (float32 by default, float64 inside a `precision("f64")` block, as
 gradient checks use). Gradients are accumulated, never overwritten, so
-shared parameters work.
+shared parameters work. A node adopts the first gradient array it is sent
+instead of copying it; `backward()` frees every intermediate node's
+gradient once used, so only leaves hold one afterwards.
 """
 
 from __future__ import annotations
@@ -89,16 +91,14 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
-        """Add `grad` into `self.grad`; a constant leaf keeps none. `fresh`
-        marks an array the calling backward has just built and holds no
-        other reference to, so the first one is adopted instead of copied;
-        the upstream gradient and views of it are never fresh."""
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add `grad` into `self.grad`; a constant leaf keeps none. The
+        first array is adopted, not copied: the upstream gradient it may
+        view is dead once the calling backward returns."""
         if not (self.requires_grad or self._parents):
             return
         if self.grad is None:
-            adopt = fresh and grad.dtype == self.data.dtype
-            self.grad = grad if adopt else grad.astype(self.data.dtype, copy=True)
+            self.grad = grad.astype(self.data.dtype, copy=False)
         else:
             self.grad += grad
 
@@ -120,7 +120,10 @@ class Tensor:
         return Tensor(data)
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the graph."""
+        """Backpropagate from this scalar through the graph. Leaves keep
+        their gradients; each intermediate node's is freed once its own
+        backward has run, so a second `backward()` over a shared subgraph
+        sends only its own gradient."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -142,6 +145,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -153,7 +157,9 @@ class Tensor:
 
         def backward(g):
             a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            # unsummed, gb views g, which `a` may have adopted
+            b._accumulate(gb.copy() if gb.size == g.size else gb)
 
         return self._result(out_data, (a, b), backward)
 
@@ -166,7 +172,7 @@ class Tensor:
 
         def backward(g):
             a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(-g, b.data.shape), fresh=True)
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
         return self._result(out_data, (a, b), backward)
 
@@ -177,7 +183,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(-g, fresh=True)
+            a._accumulate(-g)
 
         return self._result(-a.data, (a,), backward)
 
@@ -187,8 +193,8 @@ class Tensor:
         out_data = a.data * b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape), fresh=True)
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape), fresh=True)
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
         return self._result(out_data, (a, b), backward)
 
@@ -204,10 +210,8 @@ class Tensor:
         out_data = a.data @ b.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
-                          fresh=True)
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape),
-                          fresh=True)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return self._result(out_data, (a, b), backward)
 
@@ -215,7 +219,7 @@ class Tensor:
         a = self
 
         def backward(g):
-            a._accumulate(g * (2.0 * a.data), fresh=True)
+            a._accumulate(g * (2.0 * a.data))
 
         return self._result(a.data * a.data, (a,), backward)
 
@@ -253,7 +257,7 @@ class Tensor:
         def backward(g):
             full = np.zeros_like(a.data)
             full[index] = g
-            a._accumulate(full, fresh=True)
+            a._accumulate(full)
 
         return self._result(a.data[index], (a,), backward)
 
@@ -265,13 +269,9 @@ class Tensor:
         out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy(), fresh=True)
-                return
-            if not keepdims:
-                axes = axis if isinstance(axis, tuple) else (axis,)
-                g = np.expand_dims(g, axes)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy(), fresh=True)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
         return self._result(out_data, (a,), backward)
 

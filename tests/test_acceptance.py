@@ -194,18 +194,19 @@ def test_criterion_2_alignment_theorem(criterion_recorder):
         for index in range(GRAD_DIT.depth):
             frame_inc, _ = cross_attention_increments(
                 z, ConditioningBundle(mode="frame", **base), params, GRAD_DIT, index)
-            from portraitflow.model import _merge_heads, _split_heads
-            b = f"block{index}."
-            q = _split_heads(z @ params[b + "attn.wq"] + params[b + "attn.wq_b"],
-                             GRAD_DIT.heads)
+            # heads split and merged inline: [B x n x c] <-> [B x H x n x d]
+            b, heads, d = f"block{index}.", GRAD_DIT.heads, GRAD_DIT.head_dim
+            q = (z @ params[b + "attn.wq"] + params[b + "attn.wq_b"]) \
+                .reshape(2, GRAD_DIT.video_tokens, heads, d).transpose((0, 2, 1, 3))
             audio = base["audio"] + params["pos_audio"]
-            ak = _split_heads(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"],
-                              GRAD_DIT.heads)
-            av = _split_heads(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"],
-                              GRAD_DIT.heads)
+            ak = (audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"]) \
+                .reshape(2, GRAD_DIT.audio_tokens, heads, d).transpose((0, 2, 1, 3))
+            av = (audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"]) \
+                .reshape(2, GRAD_DIT.audio_tokens, heads, d).transpose((0, 2, 1, 3))
             mask = block_mask(base["mapping"], GRAD_DIT.latent_h, GRAD_DIT.latent_w)
-            oracle = _merge_heads(attention(q, ak, av, mask)) \
-                @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
+            att = attention(q, ak, av, mask).transpose((0, 2, 1, 3)) \
+                .reshape(2, GRAD_DIT.video_tokens, GRAD_DIT.width)
+            oracle = att @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
             worst = max(worst, float(np.abs(frame_inc.numpy() - oracle.numpy()).max()))
 
     minutes = (time.monotonic() - started) / 60.0

@@ -131,9 +131,11 @@ def test_non_finite_cfg_scale_rejected(workspace, capsys, scale):
 
 @pytest.mark.parametrize("flag,value,field", [
     ("--batch", "0", "batch_size"), ("--lr", "-1", "lr"), ("--lr", "nan", "lr"),
-    ("--steps-clip", "-3", "steps_clip")])
+    ("--steps-clip", "-3", "steps_clip"), ("--holdout", "-1", "holdout"),
+    ("--holdout", "10", "holdout")])
 def test_impossible_training_values_rejected(workspace, capsys, flag, value, field):
-    # at 0 / -1 / nan / -3 these crashed, ascended, diverged or "trained 0 steps"
+    # at 0 / -1 / nan / -3 these crashed, ascended, diverged or "trained 0 steps";
+    # a holdout of -1 trained on the whole corpus
     out = workspace / f"bad_{flag.strip('-')}_{value}"
     assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
                  "--steps-clip", "1", "--steps-frame", "0", "--holdout", "3",
@@ -195,3 +197,17 @@ def test_write_ppm(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n5 4\n255\n")
     assert len(raw) == len(b"P6\n5 4\n255\n") + 4 * 5 * 3
+
+
+def test_empty_reference_video_rejected(workspace, capsys, tmp_path):
+    data, run = workspace / "data", workspace / "run"
+    ref = tmp_path / "empty.pft"
+    save_tensor(ref, np.zeros((0, 32, 32, 3)))
+    out = workspace / "s_empty_ref"
+    assert main(["sample", "--ckpt", str(run / "checkpoint_final.pfck"),
+                 "--ref", str(ref), "--audio", str(data / "sample_00008" / "envelope.pft"),
+                 "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "reference" in err[0], err
+    assert not out.exists()
+

@@ -230,19 +230,25 @@ class TestAttention:
             assert err <= 1e-4
 
     ATTENTION_SHAPES = {
-        # self-attention heads [B x H x N x d]
-        "heads_4d": ((2, 2, 5, 4), (2, 2, 6, 4)),
-        # frame-scoped audio attention [B x H x f x hw x d]
-        "frame_5d": ((2, 2, 3, 4, 4), (2, 2, 3, 2, 4)),
+        # one head, with two leading batch axes
+        "heads_4d": ((2, 2, 5, 4), (2, 2, 6, 4), 1),
+        # one head, with three leading batch axes
+        "frame_5d": ((2, 2, 3, 4, 4), (2, 2, 3, 2, 4), 1),
         # identity_attend: shared [n_id x c] queries against [B x n_feat x c]
-        "queries_2d": ((3, 4), (2, 5, 4)),
-        # identity keys shared over the batch [1 x H x n_id x d]
-        "keys_broadcast": ((2, 2, 5, 4), (1, 2, 3, 4)),
+        "queries_2d": ((3, 4), (2, 5, 4), 1),
+        # keys shared over the batch, one head
+        "keys_broadcast": ((2, 2, 5, 4), (1, 2, 3, 4), 1),
+        # the DiT blocks: self-attention [B x N x c]
+        "self_heads2": ((2, 5, 4), (2, 6, 4), 2),
+        # frame-scoped audio attention [B x f x hw x c]
+        "frame_heads2": ((2, 3, 4, 4), (2, 3, 2, 4), 2),
+        # identity keys [1 x n_id x c] broadcast over the batch
+        "id_keys_heads2": ((2, 5, 4), (1, 3, 4), 2),
     }
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
     def test_backward_at_model_shapes(self, case):
-        q_shape, kv_shape = self.ATTENTION_SHAPES[case]
+        q_shape, kv_shape, heads = self.ATTENTION_SHAPES[case]
         for seed in range(3):
             rng = np.random.default_rng(seed)
             params = {
@@ -251,18 +257,34 @@ class TestAttention:
                 "v": Tensor(rng.standard_normal(kv_shape), requires_grad=True),
             }
             err = grad_check(
-                lambda p: attention(p["q"], p["k"], p["v"]).square().sum(), params)
+                lambda p: attention(p["q"], p["k"], p["v"], heads=heads).square().sum(),
+                params)
             assert err <= 1e-4, f"{case} seed {seed}"
 
     def test_forward_matches_composed_graph_bit_for_bit(self):
+        # heads split, attended and merged with reshape/transpose nodes
         rng = np.random.default_rng(7)
-        q, k, v = (Tensor(rng.standard_normal((2, 2, 5, 4))) for _ in range(3))
+        q, k, v = (Tensor(rng.standard_normal((2, 5, 8))) for _ in range(3))
         mask = np.zeros((5, 5))
         mask[1, 3:] = -np.inf
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / float(np.sqrt(4)))
-        expected = softmax_lastaxis(scores + Tensor(mask)) @ v
-        out = attention(q, k, v, Tensor(mask))
+        qh, kh, vh = (t.reshape(2, 5, 2, 4).transpose((0, 2, 1, 3)) for t in (q, k, v))
+        scores = (qh @ kh.transpose((0, 1, 3, 2))) * (1.0 / float(np.sqrt(4)))
+        expected = (softmax_lastaxis(scores + Tensor(mask)) @ vh) \
+            .transpose((0, 2, 1, 3)).reshape(2, 5, 8)
+        out = attention(q, k, v, Tensor(mask), heads=2)
         assert np.array_equal(out.numpy(), expected.numpy())
+
+    def test_heads_must_divide_width(self):
+        x = Tensor(np.ones((2, 3, 6)))
+        for heads in (0, 4):
+            with pytest.raises(ValueError, match="heads"):
+                attention(x, x, x, heads=heads)
+
+    def test_mask_must_be_query_by_key(self):
+        q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
+        for shape in ((5, 3), (1, 5), (2, 3, 5)):
+            with pytest.raises(ValueError, match="n_q x n_k"):
+                attention(q, kv, kv, Tensor(np.zeros(shape)))
 
     def test_backward_with_mask_matches_finite_differences(self):
         rng = np.random.default_rng(33)

@@ -14,7 +14,6 @@ from portraitflow.model import (
     dit_block,
     init_model_params,
     model_forward,
-    param_count,
     project_condition_kv,
     sinusoidal_features,
     timestep_embedding,
@@ -27,6 +26,26 @@ TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
                          id_feat_width=8)
 TINY = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2, head_dim=8,
                               n_id=2)
+
+
+def param_count(config: DiTConfig) -> int:
+    """Closed-form trainable parameter count; guards architecture drift."""
+    c, ca, cm = config.width, config.audio_width, config.mlp_width
+    n = 0
+    n += (config.latent_width + config.ref_channels) * c + c        # in_proj
+    n += config.video_tokens * c + config.audio_tokens * ca         # positions
+    n += ca + c                                                     # null embeddings
+    n += 2 * (c * c + c)                                            # timestep MLP
+    n += c * config.latent_width + config.latent_width              # out_proj
+    n += config.n_id * c + 2 * (config.id_feat_width * c + c) + c * c + c   # id encoder head
+    n += (2 * c + c) + (c * c + c) + 2 * (c * c + c) + (c * 4 * c + 4 * c)  # motion net
+    per_block = (c * 6 * c + 6 * c)                                 # modulation head
+    per_block += 4 * (c * c + c)                                    # self-attention
+    per_block += 2 * (ca * c + c) + (c * c + c)                     # audio cross
+    per_block += 3 * (c * c + c)                                    # identity cross
+    per_block += c * cm + cm + cm * c + c                           # mlp
+    n += config.depth * per_block
+    return n
 
 
 def make_bundle(config: DiTConfig, params, seed=0, mode="clip", batch=2):
@@ -138,19 +157,21 @@ class TestDitBlock:
                 (2, TINY.video_tokens, TINY.width)))
             frame_inc, _ = cross_attention_increments(z, bundle, params, TINY, 1)
 
-            # oracle: full-length attention under the block mask
-            from portraitflow.model import _merge_heads, _split_heads
-            b = "block1."
-            q = _split_heads(z @ params[b + "attn.wq"] + params[b + "attn.wq_b"],
-                             TINY.heads)
+            # oracle: full-length attention under the block mask, one
+            # head per [B x H x n x d] slice
+            b, heads, d = "block1.", TINY.heads, TINY.head_dim
+
+            def split(x):
+                return x.reshape(2, x.shape[1], heads, d).transpose((0, 2, 1, 3))
+
+            q = split(z @ params[b + "attn.wq"] + params[b + "attn.wq_b"])
             audio = bundle.audio + params["pos_audio"]
-            ak = _split_heads(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"],
-                              TINY.heads)
-            av = _split_heads(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"],
-                              TINY.heads)
+            ak = split(audio @ params[b + "xa.wk"] + params[b + "xa.wk_b"])
+            av = split(audio @ params[b + "xa.wv"] + params[b + "xa.wv_b"])
             mask = block_mask(bundle.mapping, TINY.latent_h, TINY.latent_w)
-            att = attention(q, ak, av, mask)
-            oracle = _merge_heads(att) @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
+            att = attention(q, ak, av, mask).transpose((0, 2, 1, 3))
+            att = att.reshape(2, TINY.video_tokens, TINY.width)
+            oracle = att @ params[b + "xa.wo"] + params[b + "xa.wo_b"]
             assert np.abs(frame_inc.numpy() - oracle.numpy()).max() <= 1e-5
 
     def test_null_audio_makes_output_independent_of_audio(self, tiny_params):

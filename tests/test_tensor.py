@@ -5,7 +5,15 @@ import threading
 import numpy as np
 import pytest
 
-from portraitflow.numerics import Tensor, concat, grad_check, linear, no_grad, precision
+from portraitflow.numerics import (
+    Tensor,
+    concat,
+    grad_check,
+    layer_norm,
+    linear,
+    no_grad,
+    precision,
+)
 from portraitflow.numerics.tensor import _unbroadcast
 
 
@@ -87,6 +95,17 @@ ALIAS_CASES = [
      lambda p, lin1, lin2: ((p["x"] + lin1) * lin2).square().sum()),
     ("sum_of_all_three",
      lambda p, lin1, lin2: (lin1 + p["x"] + lin2).square().sum()),
+    # one tensor sent two slices of the same upstream gradient
+    ("concat_of_one_tensor_twice",
+     lambda p, lin1, lin2: (concat([lin1, lin1], axis=1)
+                            * concat([lin2, p["x"]], axis=1)).square().sum()),
+    # reshape views of an add's gradient meet that add's input again
+    ("reshape_plus_its_own_input",
+     lambda p, lin1, lin2: ((p["x"] + lin1).reshape(2, 12).reshape(2, 3, 4)
+                            + p["x"]).square().sum()),
+    # layer_norm hands its upstream gradient to the bias unchanged
+    ("layer_norm_bias_is_input",
+     lambda p, lin1, lin2: (layer_norm(lin1, lin2, p["x"]) * lin1).square().sum()),
 ]
 
 
@@ -103,6 +122,29 @@ def test_aliased_input_gradient_matches_finite_differences(name, combine):
                   "w1": _random_tensor(rng, (4, 4)), "b1": _random_tensor(rng, (4,)),
                   "w2": _random_tensor(rng, (4, 4)), "b2": _random_tensor(rng, (4,))}
         assert grad_check(fn, params) <= 1e-4, f"{name} failed at seed {seed}"
+
+
+def test_second_backward_over_shared_subgraph_counts_once():
+    x = Tensor([1.0], requires_grad=True)
+    y = x * 2.0
+    y.sum().backward()
+    assert y.grad is None and np.allclose(x.grad, [2.0])
+    (y * 3.0).sum().backward()
+    # 2 from the first loss plus 6 from the second; a stale y.grad gives 10
+    assert np.allclose(x.grad, [8.0])
+
+
+def test_backward_frees_intermediate_grads_and_keeps_leaf_grads():
+    rng = np.random.default_rng(2)
+    w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    x = Tensor(rng.standard_normal((4, 3)))
+    h = linear(x, w, b)
+    s = (h * h).reshape(8)
+    loss = (s + h.reshape(8)).sum()
+    loss.backward()
+    assert all(node.grad is None for node in (h, s, loss))
+    assert w.grad is not None and b.grad is not None and x.grad is None
 
 
 def test_backward_requires_scalar():
