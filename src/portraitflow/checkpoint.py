@@ -1,12 +1,14 @@
 """Single-file checkpoints.
 
-Layout: magic + u32 format version, a length-prefixed canonical config
-text block (configs, motion normalization statistics, step counters),
-then a tensor directory of (name, shape, payload offset) entries
-followed by the raw little-endian float32 payloads. Model parameters
-are stored under "model.", Adam moments under "opt.m." / "opt.v." (so a
-resumed run continues bit-exactly), and the frozen encoder weights
-under "enc.".
+Layout (format 2, all little-endian): magic + u32 format version, a
+u64-length-prefixed canonical config text block (configs, motion
+normalization statistics, step counters), a u32 tensor count, then one
+record per tensor in name order: a u16-length UTF-8 name followed by
+the tensor's `serialize.write_payload` payload. The file is read front
+to back once; a name stored twice or a byte after the last tensor is
+rejected. Model parameters are stored under "model.", Adam moments under
+"opt.m." / "opt.v." (so a resumed run continues bit-exactly), and the
+frozen encoder weights under "enc.".
 """
 
 from __future__ import annotations
@@ -23,22 +25,20 @@ from .encoders import EncoderParams, init_encoder_params
 from .model import init_model_params
 from .motion import MotionNorm
 from .numerics import Tensor
-from .numerics.serialize import _file_end, _read_exact, _read_f32, _read_shape
+from .numerics.serialize import _file_end, _read_exact, read_payload, write_payload
 from .training import Adam, TrainerState
 
 MAGIC = b"PFCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _state_to_tensors(state: TrainerState) -> Dict[str, np.ndarray]:
-    tensors: Dict[str, np.ndarray] = {}
-    for name, p in state.params.items():
-        tensors[f"model.{name}"] = p.data.astype(np.float32)
+    tensors = {f"model.{name}": p.data for name, p in state.params.items()}
     for name, arr in state.opt.m.items():
-        tensors[f"opt.m.{name}"] = arr.astype(np.float32)
-        tensors[f"opt.v.{name}"] = state.opt.v[name].astype(np.float32)
+        tensors[f"opt.m.{name}"] = arr
+        tensors[f"opt.v.{name}"] = state.opt.v[name]
     for name, arr in state.enc_params.named_arrays().items():
-        tensors[f"enc.{name}"] = arr.astype(np.float32)
+        tensors[f"enc.{name}"] = arr
     return tensors
 
 
@@ -55,14 +55,6 @@ def save_checkpoint(path, state: TrainerState) -> None:
     header = dump_flat(flat).encode("utf-8")
     tensors = _state_to_tensors(state)
 
-    names = sorted(tensors)
-    payloads = [np.ascontiguousarray(tensors[n], dtype="<f4") for n in names]
-    offsets = []
-    cursor = 0
-    for arr in payloads:
-        offsets.append(cursor)
-        cursor += arr.nbytes
-
     # Written beside the target and renamed over it, so a crash mid-write
     # never leaves a cut checkpoint under the final name.
     tmp = Path(path).with_name(Path(path).name + ".tmp")
@@ -72,17 +64,12 @@ def save_checkpoint(path, state: TrainerState) -> None:
             fh.write(struct.pack("<I", FORMAT_VERSION))
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            fh.write(struct.pack("<I", len(names)))
-            for name, arr, offset in zip(names, payloads, offsets):
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(encoded)))
                 fh.write(encoded)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<Q", extent))
-                fh.write(struct.pack("<Q", offset))
-            for arr in payloads:
-                fh.write(arr.tobytes(order="C"))
+                write_payload(fh, tensors[name])
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -107,20 +94,16 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
         if missing:
             raise ValueError(f"{Path(path).name}: header lacks {', '.join(missing)}")
         count = struct.unpack("<I", _read_exact(fh, 4, end))[0]
-        directory = []
+        tensors = {}
         for _ in range(count):
             name_len = struct.unpack("<H", _read_exact(fh, 2, end))[0]
             name = _read_exact(fh, name_len, end).decode("utf-8")
-            shape = _read_shape(fh, end)
-            offset = struct.unpack("<Q", _read_exact(fh, 8, end))[0]
-            directory.append((name, shape, offset))
-        base = fh.tell()
-        tensors = {}
-        for name, shape, offset in directory:
-            if offset > end - base:
-                raise EOFError(f"truncated payload for tensor {name!r}")
-            fh.seek(base + offset)
-            tensors[name] = _read_f32(fh, shape, end)
+            if name in tensors:
+                raise ValueError(f"{Path(path).name}: tensor {name!r} stored twice")
+            tensors[name] = read_payload(fh)
+        if fh.tell() != end:
+            raise ValueError(f"{Path(path).name}: {end - fh.tell()} bytes after "
+                             f"the last tensor")
     return flat, tensors
 
 

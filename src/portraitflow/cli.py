@@ -57,6 +57,8 @@ def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"count {args.count} must be at least 1")
     out = Path(args.out)
     synth = SynthConfig(frames=args.frames, height=args.size, width=args.size,
                         envelope_samples=args.frames * 256,

@@ -37,32 +37,12 @@ def config_schema() -> Dict[str, type]:
     schema = dict(_EXTRA_KEYS)
     for section, cls in SECTIONS.items():
         for field in dataclasses.fields(cls):
-            if field.type in ("int", int):
-                schema[f"{section}.{field.name}"] = int
-            elif field.type in ("float", float):
-                schema[f"{section}.{field.name}"] = float
-            elif field.type in ("bool", bool):
-                schema[f"{section}.{field.name}"] = bool
-            else:
-                schema[f"{section}.{field.name}"] = str
+            schema[f"{section}.{field.name}"] = {"int": int, "float": float}[field.type]
     return schema
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def parse_value(raw: str, typ: type):
-    raw = raw.strip()
-    if typ is bool:
-        if raw not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {raw!r}")
-        return raw == "true"
-    return typ(raw)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dump_flat(values: Dict[str, object]) -> str:
@@ -90,7 +70,7 @@ def parse_flat(text: str) -> Dict[str, object]:
         if key not in schema:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
-            values[key] = parse_value(raw, schema[key])
+            values[key] = schema[key](raw)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return values

@@ -54,9 +54,6 @@ class RngState:
         """A fresh generator for the (seed, tags) address."""
         return np.random.Generator(np.random.Philox(key=_key_for(self.seed, tags)))
 
-    def uniform(self, *tags, size=None) -> np.ndarray:
-        return self.stream(*tags).random(size)
-
     def normal(self, *tags, size=None) -> np.ndarray:
         return self.stream(*tags).standard_normal(size)
 

@@ -2,11 +2,12 @@
 
 Payload layout (all little-endian):
     u32 ndim, then ndim x u64 extents, then the float32 data row-major.
-Standalone files carry the magic b"PFT1" in front of one payload.
-Checkpoints read their fixed-size fields, tensor shapes and float32
-data through the same `_read_exact`, `_read_shape` and `_read_f32`, so
-both readers check every length against the bytes left in the file
-before reading and fail with EOFError, never a runaway allocation.
+Standalone files carry the magic b"PFT1" in front of one payload; a
+checkpoint stores one payload per tensor, each after its name.
+`read_payload` checks every length against the bytes left in the file
+before reading and fails with EOFError, never a runaway allocation; the
+checkpoint reader reads its own fixed-size fields through the same
+`_read_exact`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ def write_payload(fh: BinaryIO, array: np.ndarray) -> None:
 
 def read_payload(fh: BinaryIO) -> np.ndarray:
     end = _file_end(fh)
-    return _read_f32(fh, _read_shape(fh, end), end)
+    ndim = struct.unpack("<I", _read_exact(fh, 4, end))[0]
+    shape = struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, end))
+    count = math.prod(shape)  # Python ints: no overflow on corrupt extents
+    raw = _read_exact(fh, 4 * count, end)
+    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
 
 
 def save_tensor(path, array: np.ndarray) -> None:
@@ -64,13 +69,3 @@ def _read_exact(fh: BinaryIO, count: int, end: int) -> bytes:
         raise EOFError(f"truncated file: wanted {count} bytes, {max(left, 0)} left")
     return fh.read(count)
 
-
-def _read_shape(fh: BinaryIO, end: int) -> tuple:
-    ndim = struct.unpack("<I", _read_exact(fh, 4, end))[0]
-    return struct.unpack(f"<{ndim}Q", _read_exact(fh, 8 * ndim, end))
-
-
-def _read_f32(fh: BinaryIO, shape: tuple, end: int) -> np.ndarray:
-    count = math.prod(shape)  # Python ints: no overflow on corrupt extents
-    raw = _read_exact(fh, 4 * count, end)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)

@@ -36,6 +36,12 @@ class SynthConfig:
     torso_jitter: float = 2.5    # px at body coefficient 1
     drift_rate: float = 0.9     # background phase per frame at body coefficient 1
 
+    def __post_init__(self):
+        if min(self.frames, self.height, self.width, self.identities) < 1:
+            raise ValueError(f"frames, height, width and identities must be at least "
+                             f"1, got {self.frames}, {self.height}, {self.width}, "
+                             f"{self.identities}")
+
     def layout(self) -> Dict[str, Tuple]:
         """Pixel-space scene layout, proportional to the frame size."""
         h, w = self.height, self.width
@@ -299,28 +305,35 @@ def write_dataset(specs: Sequence[SceneSpec], out_dir,
 
 
 def read_dataset(data_dir) -> Tuple[List[Sample], SynthConfig]:
-    """Load a stored corpus, verifying every file checksum."""
+    """Load a stored corpus, verifying every file checksum. A manifest
+    with a missing, unknown or wrongly typed entry raises ValueError."""
     data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "manifest.json").read_text())
-    config = SynthConfig(**manifest["config"])
-    samples = []
-    for record in manifest["samples"]:
-        sub = data_dir / record["dir"]
-        arrays = {}
-        for name in _SAMPLE_FILES:
-            path = sub / f"{name}.pft"
-            digest = _sha256(path)
-            if digest != record["checksums"][name]:
-                raise ValueError(
-                    f"checksum mismatch for {record['dir']}/{name}.pft")
-            arrays[name] = load_tensor(path)
-        spec = SceneSpec(identity=tuple(record["identity"]),
-                         omega_l=record["omega_l"], omega_b=record["omega_b"],
-                         envelope=arrays["envelope"],
-                         background=tuple(record["background"]),
-                         seed=record["seed"])
-        samples.append(Sample(spec=spec, **arrays))
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    try:
+        config = SynthConfig(**manifest["config"])
+        samples = [_read_sample(data_dir, record) for record in manifest["samples"]]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{manifest_path}: malformed manifest "
+                         f"({type(exc).__name__}: {exc})") from exc
     return samples, config
+
+
+def _read_sample(data_dir: Path, record: Dict) -> Sample:
+    sub = data_dir / record["dir"]
+    arrays = {}
+    for name in _SAMPLE_FILES:
+        path = sub / f"{name}.pft"
+        digest = _sha256(path)
+        if digest != record["checksums"][name]:
+            raise ValueError(f"checksum mismatch for {record['dir']}/{name}.pft")
+        arrays[name] = load_tensor(path)
+    spec = SceneSpec(identity=tuple(record["identity"]),
+                     omega_l=record["omega_l"], omega_b=record["omega_b"],
+                     envelope=arrays["envelope"],
+                     background=tuple(record["background"]),
+                     seed=record["seed"])
+    return Sample(spec=spec, **arrays)
 
 
 def make_corpus_specs(count: int, corpus_seed: int,

@@ -1,5 +1,6 @@
 """Checkpoint round trips, exact resume and malformed files."""
 
+import io
 import struct
 
 import numpy as np
@@ -18,6 +19,7 @@ from portraitflow.cli import main
 from portraitflow.encoders import EncoderConfig
 from portraitflow.model import DiTConfig
 from portraitflow.numerics import Tensor, save_tensor
+from portraitflow.numerics.serialize import write_payload
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
 from portraitflow.training import (
     TrainConfig,
@@ -162,6 +164,19 @@ def _with_header(raw: bytes, edit) -> bytes:
     return raw[:8] + struct.pack("<Q", len(header)) + header + raw[16 + length:]
 
 
+def _with_records(raw: bytes, records) -> bytes:
+    """Replace a checkpoint's tensor records with `records`, a list of
+    (name, array): u32 count, then per record a u16-length name and the
+    tensor's payload."""
+    (length,) = struct.unpack("<Q", raw[8:16])
+    buf = io.BytesIO()
+    buf.write(struct.pack("<I", len(records)))
+    for name, arr in records:
+        buf.write(struct.pack("<H", len(name.encode())) + name.encode())
+        write_payload(buf, arr)
+    return raw[:16 + length] + buf.getvalue()
+
+
 def _inspect_fails_cleanly(path, capsys) -> None:
     assert main(["inspect", "--ckpt", str(path)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -236,6 +251,29 @@ class TestMalformed:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert repr(named) in err[0]
+
+    def test_tensor_records_follow_the_header_in_name_order(self, saved_bytes, tmp_path):
+        path = tmp_path / "ckpt.pfck"
+        path.write_bytes(saved_bytes)
+        _, tensors = read_checkpoint_raw(path)
+        assert _with_records(saved_bytes, sorted(tensors.items())) == saved_bytes
+
+    @pytest.mark.parametrize("edit", ["version 1", "name stored twice", "trailing bytes"])
+    def test_unreadable_layout_fails_cleanly(self, saved_bytes, tmp_path, capsys, edit):
+        path = tmp_path / "edited.pfck"
+        path.write_bytes(saved_bytes)
+        records = sorted(read_checkpoint_raw(path)[1].items())
+        raw, message = {
+            "version 1": (saved_bytes[:4] + struct.pack("<I", 1) + saved_bytes[8:],
+                          "format version 1 unsupported (expected 2)"),
+            "name stored twice": (_with_records(saved_bytes, records[:2] + records[1:]),
+                                  f"tensor {records[1][0]!r} stored twice"),
+            "trailing bytes": (saved_bytes + bytes(16), "16 bytes after the last tensor"),
+        }[edit]
+        path.write_bytes(raw)
+        assert main(["inspect", "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(prefix=st.sampled_from([b"", MAGIC, MAGIC + struct.pack("<I", FORMAT_VERSION)]),

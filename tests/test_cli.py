@@ -1,6 +1,7 @@
 """Operator surface: every command end-to-end on a micro corpus."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -211,3 +212,32 @@ def test_empty_reference_video_rejected(workspace, capsys, tmp_path):
     assert len(err) == 1 and err[0].startswith("error:") and "reference" in err[0], err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("edit", [
+    lambda manifest: manifest["samples"][-1].pop("checksums"),
+    lambda manifest: manifest["samples"][-1].pop("seed"),
+    lambda manifest: manifest["config"].update(gamma=1.0),
+    lambda manifest: manifest.update(samples={"0": manifest["samples"][0]}),
+], ids=["no checksums", "no seed", "unknown config key", "samples as an object"])
+def test_malformed_manifest_fails_cleanly(workspace, capsys, tmp_path, edit):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--holdout", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "manifest" in err[0], err
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--identities", "0"], "identities"), (["--frames", "0"], "frames"),
+    (["--size", "0"], "height"), (["--count", "-2"], "count"), (["--count", "0"], "count"),
+], ids=["identities 0", "frames 0", "size 0", "count -2", "count 0"])
+def test_gen_data_rejects_empty_sizes(capsys, tmp_path, flags, named):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--count", "2", *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
+    assert not out.exists()

@@ -9,11 +9,15 @@ parent, to see whether the change leaves every output byte-identical.
 The run: a 20-clip seed-0 corpus at the default sizes; 12 `train_step`s
 (6 clip, 6 frame) at batch 4 and seed 3 on the first 17 clips; one
 clip-mode and one frame-mode 4-step `sample()` from clip 17; and a
-3-clip `evaluate_model` on the last 3 clips. It prints the sha256 of the
-prepared tensors, losses, parameters, videos and eval rows, one sha256
-over all five, the autodiff graph nodes of each train step, counted
-from the loss as `bench/run.py` counts them, and the `model_forward`
-calls each `sample()` makes.
+3-clip `evaluate_model` on the last 3 clips; then a `save_checkpoint`/
+`load_checkpoint` round trip of the trained state. It prints the sha256
+of the prepared tensors, losses, parameters, videos, eval rows and the
+loaded checkpoint's contents (configs, normalization, step counters,
+parameters, Adam moments and encoder arrays, not the file bytes, so two
+checkpoint formats holding the same state hash alike), one sha256 over
+all six, the autodiff graph nodes of each train step, counted from the
+loss as `bench/run.py` counts them, and the `model_forward` calls each
+`sample()` makes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -50,7 +55,7 @@ def array_bytes(arr) -> bytes:
 def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
     """Run the fixed pipeline; return the bytes of each output group, the
     graph nodes per train step and the model calls per sample by mode."""
-    from portraitflow import evalmetrics, sampling, synthdata, training
+    from portraitflow import checkpoint, evalmetrics, sampling, synthdata, training
     from portraitflow.encoders import EncoderConfig
     from portraitflow.model import DiTConfig
     from portraitflow.numerics import Tensor
@@ -107,6 +112,20 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
         state, samples[-EVAL_CLIPS:], sampling.SampleConfig(steps=SAMPLE_STEPS, seed=2))
     out["rows"] = json.dumps({"report": report.to_json(), "rows": rows},
                              sort_keys=True).encode()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint.save_checkpoint(Path(tmp) / "state.pfck", state)
+        loaded = checkpoint.load_checkpoint(Path(tmp) / "state.pfck")
+    arrays = {f"model.{name}": p.data for name, p in loaded.params.items()}
+    for name in loaded.opt.m:
+        arrays[f"opt.m.{name}"] = loaded.opt.m[name]
+        arrays[f"opt.v.{name}"] = loaded.opt.v[name]
+    for name, arr in loaded.enc_params.named_arrays().items():
+        arrays[f"enc.{name}"] = arr
+    out["checkpoint"] = repr((loaded.dit, loaded.enc, loaded.train, loaded.norm_facial,
+                              loaded.norm_body, loaded.step, loaded.opt.count)).encode()
+    out["checkpoint"] += b"".join(name.encode() + array_bytes(arrays[name])
+                                  for name in sorted(arrays))
     return out, nodes, calls
 
 
@@ -126,8 +145,8 @@ def main(argv=None) -> int:
     for name, blob in out.items():
         digest = hashlib.sha256(blob).hexdigest()
         total.update(digest.encode())
-        print(f"{name:<9} {digest}")
-    print(f"{'all':<9} {total.hexdigest()}")
+        print(f"{name:<10} {digest}")
+    print(f"{'all':<10} {total.hexdigest()}")
     for stage, counts in nodes.items():
         print(f"graph nodes per {stage} step: max {max(counts)}, each {counts}")
     for mode, count in calls.items():
