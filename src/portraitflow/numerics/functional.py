@@ -16,11 +16,11 @@ LAYER_NORM_EPS = 1e-5
 NEG_INF = float("-inf")
 
 
-def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    """Stabilized softmax over the last axis, computed in place in `scores`."""
-    scores -= np.max(scores, axis=-1, keepdims=True)
+def _softmax_inplace(scores: np.ndarray, axis: int) -> np.ndarray:
+    """Stabilized softmax over `axis`, computed in place in `scores`."""
+    scores -= np.max(scores, axis=axis, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= scores.sum(axis=axis, keepdims=True)
     return scores
 
 
@@ -34,7 +34,7 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     x = Tensor._wrap(x)
     if x.data.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
-    out_data = _softmax_inplace(x.data.copy())
+    out_data = _softmax_inplace(x.data.copy(), axis=-1)
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
@@ -79,10 +79,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         raise ValueError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match normalized width {width}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
     out_data = xhat * gain.data + bias.data
 
     def backward(g):
@@ -118,10 +117,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
     `mask` is an [n_q x n_k] additive mask shared by all heads, with
     entries 0 (keep) or -inf (block); blocked keys receive exactly zero
     weight. A fully blocked query row is a degenerate attention row and
-    raises. The backward is closed form from the saved weights P:
-    dV = P^T dO, dP = dO V^T and dS = scale * P * (dP - rowsum(dP * P)),
-    where rowsum(dP * P) equals rowsum(dO * O) (FlashAttention's D), the
-    cheaper of the two.
+    raises.
+
+    Scores are stored key-major, S^T = K Q^T [... x heads x n_k x n_q], so
+    the softmax reduces over axis -2 in whole contiguous rows, far faster
+    than over the short audio and identity key axes. The backward is closed
+    form from the saved P^T: dV = P^T dO, dS^T = scale * P^T * (V dO^T - D)
+    with FlashAttention's D = rowsum(dO * O) (equal to rowsum(dP * P), but
+    taken over the head width), dQ = (dS^T)^T K and dK = dS^T Q.
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
     width = q.data.shape[-1]
@@ -141,32 +144,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / float(np.sqrt(width // heads))
-    weights = qh @ np.swapaxes(kh, -1, -2)
-    weights *= scale
+    weights_t = kh @ np.swapaxes(qh, -1, -2)
+    weights_t *= scale
     if mask is not None:
         mask = Tensor._wrap(mask).data
-        if mask.shape != weights.shape[-2:]:
+        n_k, n_q = weights_t.shape[-2:]
+        if mask.shape != (n_q, n_k):
             raise ValueError(f"attention mask must be [n_q x n_k] = "
-                             f"{weights.shape[-2:]}, got {mask.shape}")
+                             f"{(n_q, n_k)}, got {mask.shape}")
         blocked = np.isneginf(mask)
         if not np.logical_or(mask == 0.0, blocked).all():
             raise ValueError("attention mask entries must be 0 or -inf")
         if blocked.all(axis=-1).any():
             raise ValueError("attention mask blocks an entire query row")
-        weights += mask
-    _softmax_inplace(weights)
-    out_heads = weights @ vh
+        weights_t += mask.T
+    _softmax_inplace(weights_t, axis=-2)
+    out_heads = np.swapaxes(weights_t, -1, -2) @ vh
 
     def backward(g):
         g = split(g)
-        v._accumulate(merge(_unbroadcast(np.swapaxes(weights, -1, -2) @ g, vh.shape)))
-        # scale folded into dO; rowsum(dP * P) taken as rowsum(dO * O),
-        # over the head width instead of the key length
-        g = g * scale
-        ds = g @ np.swapaxes(vh, -1, -2)
-        ds -= (g * out_heads).sum(axis=-1, keepdims=True)
-        ds *= weights
-        q._accumulate(merge(_unbroadcast(ds @ kh, qh.shape)))
-        k._accumulate(merge(_unbroadcast(np.swapaxes(ds, -1, -2) @ qh, kh.shape)))
+        v._accumulate(merge(_unbroadcast(weights_t @ g, vh.shape)))
+        g = g * scale  # scale folded into dO
+        ds_t = vh @ np.swapaxes(g, -1, -2)
+        ds_t -= np.einsum("...qd,...qd->...q", g, out_heads)[..., None, :]
+        ds_t *= weights_t
+        q._accumulate(merge(_unbroadcast(np.swapaxes(ds_t, -1, -2) @ kh, qh.shape)))
+        k._accumulate(merge(_unbroadcast(ds_t @ qh, kh.shape)))
 
     return Tensor._result(merge(out_heads), (q, k, v), backward)

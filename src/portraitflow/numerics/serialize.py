@@ -2,12 +2,12 @@
 
 Payload layout (all little-endian):
     u32 ndim, then ndim x u64 extents, then the float32 data row-major.
-Standalone files carry the magic b"PFT1" in front of one payload; a
-checkpoint stores one payload per tensor, each after its name.
-`read_payload` checks every length against the bytes left in the file
-before reading and fails with EOFError, never a runaway allocation; the
-checkpoint reader reads its own fixed-size fields through the same
-`_read_exact`.
+Standalone files carry the magic b"PFT1" in front of one payload and
+nothing after it; a checkpoint stores one payload per tensor, each after
+its name. `read_payload` checks every length against the bytes left in
+the file before reading and fails with EOFError, never a runaway
+allocation; the checkpoint reader reads its own fixed-size fields
+through the same `_read_exact`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,11 @@ def load_tensor(path) -> np.ndarray:
         magic = fh.read(4)
         if magic != TENSOR_FILE_MAGIC:
             raise ValueError(f"{Path(path).name}: not a tensor file (magic {magic!r})")
-        return read_payload(fh)
+        array = read_payload(fh)
+        left = _file_end(fh) - fh.tell()
+        if left:
+            raise ValueError(f"{Path(path).name}: {left} bytes after the tensor payload")
+    return array
 
 
 def _file_end(fh: BinaryIO) -> int:

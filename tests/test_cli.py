@@ -213,6 +213,23 @@ def test_empty_reference_video_rejected(workspace, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,name", [("--ref", "video"), ("--audio", "envelope")])
+def test_tensor_file_with_trailing_bytes_rejected(workspace, capsys, tmp_path, flag, name):
+    data, run = workspace / "data", workspace / "run"
+    inputs = {"--ref": data / "sample_00008" / "video.pft",
+              "--audio": data / "sample_00008" / "envelope.pft"}
+    padded = tmp_path / f"{name}.pft"
+    padded.write_bytes(inputs[flag].read_bytes() + b"garbage!")
+    inputs[flag] = padded
+    out = workspace / f"s_padded_{name}"
+    assert main(["sample", "--ckpt", str(run / "checkpoint_final.pfck"),
+                 "--ref", str(inputs["--ref"]), "--audio", str(inputs["--audio"]),
+                 "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "after the tensor" in err[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda manifest: manifest["samples"][-1].pop("checksums"),
     lambda manifest: manifest["samples"][-1].pop("seed"),

@@ -9,6 +9,7 @@ from portraitflow.numerics import (
     grad_check,
     layer_norm,
     linear,
+    precision,
     silu,
     softmax_lastaxis,
 )
@@ -69,6 +70,19 @@ class TestLayerNorm:
         out = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).numpy()
         assert np.abs(out.mean(axis=-1)).max() < 1e-5
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
+
+    def test_forward_matches_two_pass_formula_bit_for_bit(self):
+        # the centred input is computed once and reused for the variance and xhat
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = (rng.standard_normal((8, 128, 64)) * 3 + 1).astype(np.float32)
+            gain = rng.standard_normal(64).astype(np.float32)
+            bias = rng.standard_normal(64).astype(np.float32)
+            mu = x.mean(axis=-1, keepdims=True)
+            var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+            expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
+            out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).numpy()
+            assert np.array_equal(out, expected)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -273,6 +287,58 @@ class TestAttention:
             .transpose((0, 2, 1, 3)).reshape(2, 5, 8)
         out = attention(q, k, v, Tensor(mask), heads=2)
         assert np.array_equal(out.numpy(), expected.numpy())
+
+    MODEL_SHAPES = {
+        # B=2 DiT block shapes at width 64: (q shape, k/v shape)
+        "self": ((2, 128, 64), (2, 128, 64)),
+        "clip_audio": ((2, 128, 64), (2, 32, 64)),
+        "frame_audio": ((2, 8, 16, 64), (2, 8, 4, 64)),
+        "identity": ((2, 128, 64), (1, 4, 64)),
+        # square, so a mask added untransposed would fit and go unnoticed
+        "self_masked": ((2, 128, 64), (2, 128, 64)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MODEL_SHAPES))
+    def test_forward_matches_numpy_softmax_at_model_shapes(self, case):
+        q_shape, kv_shape = self.MODEL_SHAPES[case]
+        rng = np.random.default_rng(11)
+        q, k, v = (rng.standard_normal(s) for s in (q_shape, kv_shape, kv_shape))
+        mask = None
+        if case.endswith("masked"):
+            keep = np.tril(np.ones((128, 128), bool)) | (rng.random((128, 128)) < 0.3)
+            mask = np.where(keep, 0.0, -np.inf)
+        heads, d = 4, 16
+        expected = np.empty(np.broadcast_shapes(q.shape[:-2], k.shape[:-2]) + q.shape[-2:])
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / np.sqrt(d)
+            if mask is not None:
+                scores = scores + mask
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            expected[..., cols] = weights @ v[..., cols]
+        with precision("f64"):
+            out = attention(Tensor(q), Tensor(k), Tensor(v),
+                            None if mask is None else Tensor(mask), heads=heads).numpy()
+        assert out.dtype == np.float64
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_backward_with_asymmetric_mask_over_heads(self):
+        # more queries than keys, keys shared over the batch; key 1 is blocked
+        # for every query, so it must receive exactly zero gradient
+        mask = np.zeros((4, 3))
+        mask[0, 2] = mask[2, 0] = -np.inf
+        mask[:, 1] = -np.inf
+        rng = np.random.default_rng(35)
+        params = {
+            "q": Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True),
+            "k": Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True),
+            "v": Tensor(rng.standard_normal((1, 3, 4)), requires_grad=True),
+        }
+        loss = lambda p: attention(p["q"], p["k"], p["v"], Tensor(mask), heads=2).square().sum()
+        assert grad_check(loss, params) <= 1e-6
+        loss(params).backward()
+        assert not params["k"].grad[:, 1].any() and not params["v"].grad[:, 1].any()
 
     def test_heads_must_divide_width(self):
         x = Tensor(np.ones((2, 3, 6)))
