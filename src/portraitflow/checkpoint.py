@@ -1,8 +1,9 @@
 """Single-file checkpoints.
 
-Layout (format 2, all little-endian): magic + u32 format version, a
-u64-length-prefixed canonical config text block (configs, motion
-normalization statistics, step counters), a u32 tensor count, then one
+Layout (format 3, all little-endian): magic + u32 format version, a
+u64-length-prefixed canonical config text block (the config-text keys
+of config.py, plus motion normalization statistics and step counters,
+which only a header carries), a u32 tensor count, then one
 record per tensor in name order: a u16-length UTF-8 name followed by
 the tensor's `serialize.write_payload` payload. The file is read front
 to back once; a name stored twice or a byte after the last tensor is
@@ -20,7 +21,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .config import _EXTRA_KEYS, configs_to_flat, dump_flat, flat_to_configs, parse_flat
+from .config import configs_to_flat, dump_flat, flat_to_configs, parse_flat
 from .encoders import EncoderParams, init_encoder_params
 from .model import init_model_params
 from .motion import MotionNorm
@@ -29,7 +30,14 @@ from .numerics.serialize import _file_end, _read_exact, read_payload, write_payl
 from .training import Adam, TrainerState
 
 MAGIC = b"PFCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+# Header keys beyond the config text; `--config` files may not set them.
+_HEADER_KEYS = {
+    "norm.facial_min": float, "norm.facial_max": float,
+    "norm.body_min": float, "norm.body_max": float,
+    "state.step": int, "state.adam_count": int,
+}
 
 
 def _state_to_tensors(state: TrainerState) -> Dict[str, np.ndarray]:
@@ -89,8 +97,8 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
                 f"{Path(path).name}: format version {version} unsupported "
                 f"(expected {FORMAT_VERSION})")
         header_len = struct.unpack("<Q", _read_exact(fh, 8, end))[0]
-        flat = parse_flat(_read_exact(fh, header_len, end).decode("utf-8"))
-        missing = sorted(set(_EXTRA_KEYS) - set(flat))
+        flat = parse_flat(_read_exact(fh, header_len, end).decode("utf-8"), _HEADER_KEYS)
+        missing = sorted(set(_HEADER_KEYS) - set(flat))
         if missing:
             raise ValueError(f"{Path(path).name}: header lacks {', '.join(missing)}")
         count = struct.unpack("<I", _read_exact(fh, 4, end))[0]

@@ -3,15 +3,17 @@
 One `section.key = value` pair per line; `#` starts a comment. The
 schema is derived from the three config dataclasses (sections "dit",
 "enc", "train"), so every key has a declared type and unknown keys are
-rejected. Floats are written with repr, which round-trips exactly.
-Environment variables are never consulted. The retired keys that older
-checkpoints still carry are dropped at their one working value.
+rejected. The encoder config owns the latent geometry: the DiT fields
+it implies (and `head_dim`, which is `width / heads`) are derived, not
+settable, so every key has more than one legal value. Floats are written
+with repr, which round-trips exactly. Environment variables are never
+consulted.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple
 
 from .encoders import EncoderConfig
 from .model import DiTConfig
@@ -19,25 +21,17 @@ from .training import TrainConfig
 
 SECTIONS = {"dit": DiTConfig, "enc": EncoderConfig, "train": TrainConfig}
 
-_RETIRED_KEYS = {"train.optimizer": "adam", "enc.temporal_stride": 1}
-
-# DiT fields freely settable by the user; the rest are derived from the
-# encoder geometry and must agree with it.
-_FREE_DIT_FIELDS = ("depth", "width", "heads", "head_dim", "n_id",
-                    "lambda_audio", "lambda_identity", "mlp_ratio")
-
-_EXTRA_KEYS = {
-    "norm.facial_min": float, "norm.facial_max": float,
-    "norm.body_min": float, "norm.body_max": float,
-    "state.step": int, "state.adam_count": int,
-}
+# The DiT fields config text sets; `DiTConfig.for_encoders` derives the rest.
+_FREE_DIT_FIELDS = ("depth", "width", "heads", "n_id", "lambda_audio", "lambda_identity",
+                    "mlp_ratio")
 
 
 def config_schema() -> Dict[str, type]:
-    schema = dict(_EXTRA_KEYS)
+    schema = {}
     for section, cls in SECTIONS.items():
         for field in dataclasses.fields(cls):
-            schema[f"{section}.{field.name}"] = {"int": int, "float": float}[field.type]
+            if section != "dit" or field.name in _FREE_DIT_FIELDS:
+                schema[f"{section}.{field.name}"] = {"int": int, "float": float}[field.type]
     return schema
 
 
@@ -50,9 +44,10 @@ def dump_flat(values: Dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_flat(text: str) -> Dict[str, object]:
-    """Parse and type-check config text against the schema."""
-    schema = config_schema()
+def parse_flat(text: str, extra: Mapping[str, type] = {}) -> Dict[str, object]:
+    """Parse and type-check config text against the schema plus `extra`
+    (the keys only a checkpoint header carries)."""
+    schema = {**config_schema(), **extra}
     values: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -61,12 +56,6 @@ def parse_flat(text: str) -> Dict[str, object]:
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key in _RETIRED_KEYS:
-            kept = _RETIRED_KEYS[key]
-            if raw != format_value(kept):
-                raise ValueError(f"line {lineno}: retired key {key} only "
-                                 f"accepts {format_value(kept)}, got {raw!r}")
-            continue
         if key not in schema:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         try:
@@ -78,8 +67,8 @@ def parse_flat(text: str) -> Dict[str, object]:
 
 def configs_to_flat(dit: DiTConfig, enc: EncoderConfig,
                     train: TrainConfig) -> Dict[str, object]:
-    flat: Dict[str, object] = {}
-    for section, obj in (("dit", dit), ("enc", enc), ("train", train)):
+    flat: Dict[str, object] = {f"dit.{name}": getattr(dit, name) for name in _FREE_DIT_FIELDS}
+    for section, obj in (("enc", enc), ("train", train)):
         for field in dataclasses.fields(obj):
             flat[f"{section}.{field.name}"] = getattr(obj, field.name)
     return flat
@@ -87,27 +76,17 @@ def configs_to_flat(dit: DiTConfig, enc: EncoderConfig,
 
 def flat_to_configs(flat: Dict[str, object]
                     ) -> Tuple[DiTConfig, EncoderConfig, TrainConfig]:
-    """Build (dit, enc, train), deriving the DiT geometry from the encoder
-    config: a conflicting dit key is rejected, a missing head_dim inferred."""
+    """Build (dit, enc, train): the DiT geometry comes from the encoder
+    config and `head_dim` from `width / heads`."""
     def section(name: str) -> Dict[str, object]:
         return {k.split(".", 1)[1]: v for k, v in flat.items()
                 if k.startswith(name + ".")}
 
     enc = EncoderConfig(**section("enc"))
-    derived = DiTConfig.for_encoders(enc)
-    dit_kwargs = {}
-    for name, value in section("dit").items():
-        if name in _FREE_DIT_FIELDS:
-            dit_kwargs[name] = value
-        elif value != getattr(derived, name):
-            raise ValueError(
-                f"config key dit.{name}={value} conflicts with encoder-derived "
-                f"value {getattr(derived, name)}")
-    if "head_dim" not in dit_kwargs and ("width" in dit_kwargs or "heads" in dit_kwargs):
-        width = dit_kwargs.get("width", derived.width)
-        heads = dit_kwargs.get("heads", derived.heads)
-        if width % heads:
-            raise ValueError(f"width {width} not divisible by heads {heads}")
-        dit_kwargs["head_dim"] = width // heads
-    dit = dataclasses.replace(derived, **dit_kwargs)
+    dit_kwargs = section("dit")
+    width = dit_kwargs.get("width", DiTConfig.width)
+    heads = dit_kwargs.get("heads", DiTConfig.heads)
+    if heads < 1 or width % heads:
+        raise ValueError(f"width {width} not divisible by heads {heads}")
+    dit = DiTConfig.for_encoders(enc, head_dim=width // heads, **dit_kwargs)
     return dit, enc, TrainConfig(**section("train"))

@@ -3,9 +3,10 @@
 All three work on ground-truth regions from the synthetic generator, so
 no pretrained detectors are involved: sync is the Pearson correlation of
 mouth-region brightness against the per-frame envelope, identity error is
-the mean cosine distance between frame-crop embeddings and the reference
-embedding, and the dynamics pair is the mean absolute inter-frame pixel
-difference inside / outside the foreground mask.
+the mean cosine distance between frame embeddings and the reference
+embedding (the embedder crops each frame with the encoder's face box),
+and the dynamics pair is the mean absolute inter-frame pixel difference
+inside / outside the foreground mask.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -79,34 +80,25 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(1.0 - np.dot(a, b) / (na * nb))
 
 
-def identity_proxy(video: np.ndarray, reference_crop: np.ndarray,
-                   crop_region: Tuple[int, int, int],
-                   encoder: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Mean cosine distance between per-frame crop embeddings and the
-    reference crop embedding."""
-    r, c, s = crop_region
-    ref_embed = encoder(reference_crop)
-    distances = [cosine_distance(encoder(frame[r:r + s, c:c + s]), ref_embed)
-                 for frame in np.asarray(video)]
+def identity_proxy(video: np.ndarray, reference: np.ndarray,
+                   embed: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Mean cosine distance between each frame's embedding and the
+    reference frame's; `embed` maps one [H,W,3] frame to a vector."""
+    ref_embed = embed(reference)
+    distances = [cosine_distance(embed(frame), ref_embed) for frame in np.asarray(video)]
     return float(np.mean(distances))
 
 
 def dynamics_proxy(video: np.ndarray,
                    foreground_mask: np.ndarray) -> Tuple[float, float]:
     """(subject, background) dynamics: mean absolute inter-frame pixel
-    difference inside and outside the mask. The mask is [H x W] or
-    per-frame [F x H x W] (a pixel counts as foreground for a frame pair
-    if it is foreground in either frame)."""
+    difference inside and outside the [H x W] mask."""
     video = np.asarray(video, dtype=np.float64)
     F = video.shape[0]
     if F < 2:
         raise ValueError(f"need at least 2 frames, got {F}")
     diffs = np.abs(video[1:] - video[:-1]).mean(axis=-1)  # [F-1, H, W]
-    mask = np.asarray(foreground_mask) > 0.5
-    if mask.ndim == 2:
-        pair_masks = np.broadcast_to(mask, diffs.shape)
-    else:
-        pair_masks = mask[1:] | mask[:-1]
+    pair_masks = np.broadcast_to(np.asarray(foreground_mask) > 0.5, diffs.shape)
     fg = diffs[pair_masks]
     bg = diffs[~pair_masks]
     sd = float(fg.mean()) if fg.size else 0.0
@@ -128,13 +120,14 @@ def mask_bounding_box(mask: np.ndarray) -> Tuple[int, int, int, int]:
 
 
 def identity_embedder(state) -> Callable[[np.ndarray], np.ndarray]:
-    """Crop -> flattened identity-token embedding using the checkpoint's
-    (frozen conv + trained query head) identity encoder."""
-    from .encoders import identity_attend, identity_conv_features
+    """Frame -> flattened identity-token embedding of its face crop, using
+    the checkpoint's (frozen conv + trained query head) identity encoder."""
+    from .encoders import crop_face, identity_attend, identity_conv_features
     from .numerics import Tensor, no_grad
 
-    def embed(crop: np.ndarray) -> np.ndarray:
-        feats = identity_conv_features(crop, state.enc_params, state.enc)
+    def embed(frame: np.ndarray) -> np.ndarray:
+        feats = identity_conv_features(crop_face(frame, state.enc), state.enc_params,
+                                       state.enc)
         with no_grad():
             tokens = identity_attend(Tensor(feats), state.params)
         return tokens.numpy().reshape(-1)
@@ -152,7 +145,6 @@ def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, 
     from .synthdata import per_frame_envelope
 
     embed = identity_embedder(state)
-    enc = state.enc
     rows = []
     for i, item in enumerate(samples):
         cfg = dataclasses.replace(sample_cfg, omega_l=item.spec.omega_l,
@@ -164,10 +156,7 @@ def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, 
         region = mask_bounding_box(item.lip_mask)
         sync_r, degenerate = sync_proxy(video.data, drive, region)
 
-        crop_region = (enc.crop_row, enc.crop_col, enc.crop_size)
-        ref_crop = reference[enc.crop_row:enc.crop_row + enc.crop_size,
-                             enc.crop_col:enc.crop_col + enc.crop_size]
-        id_err = identity_proxy(video.data, ref_crop, crop_region, embed)
+        id_err = identity_proxy(video.data, reference, embed)
 
         sd, bd = dynamics_proxy(video.data, item.fg_mask.max(axis=0))
         rows.append({

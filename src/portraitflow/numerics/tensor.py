@@ -176,17 +176,6 @@ class Tensor:
 
         return self._result(out_data, (a, b), backward)
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._wrap(other) - self
-
-    def __neg__(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accumulate(-g)
-
-        return self._result(-a.data, (a,), backward)
-
     def __mul__(self, other) -> "Tensor":
         other = self._wrap(other)
         a, b = self, other

@@ -74,11 +74,6 @@ def integrate_flow(z1: np.ndarray, velocity_fn: Callable[[np.ndarray, float], np
     return z
 
 
-def checkpoint_mode(state: TrainerState) -> str:
-    """Audio scoping the checkpoint last trained with."""
-    return "frame" if state.step > state.train.steps_clip else "clip"
-
-
 def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
                       envelope: np.ndarray, cfg: SampleConfig) -> ConditioningBundle:
     enc, params = state.enc, state.params
@@ -91,7 +86,8 @@ def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
     feats = identity_conv_features(crop_face(reference_frame, enc),
                                    state.enc_params, enc)[None]
     identity = identity_attend(Tensor(feats), params)
-    mode = cfg.mode or checkpoint_mode(state)
+    # None: the stage of the last step the checkpoint trained
+    mode = cfg.mode or state.train.stage_at(state.step - 1)
     return ConditioningBundle(
         audio=Tensor(audio),
         identity=identity,

@@ -6,20 +6,30 @@ textured background: the mouth rectangle opens with the audio envelope
 envelope), the head and eyes jitter with amplitude proportional to the
 facial coefficient, and the torso plus background drift scale with the
 body coefficient. Ground truth (lip mask, landmarks, joints, foreground
-mask, coefficients) comes straight from the renderer.
+mask, coefficients) comes straight from the renderer. The face crop is
+not part of a sample: `encoders.crop_face` cuts it from a frame with the
+encoder config's box.
+
+A stored corpus is a `manifest.json` (the `SynthConfig` and per-sample
+scene recipes and checksums) plus one directory per sample holding six
+tensor files: video, envelope, lip_mask, landmarks, joints, fg_mask.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .numerics import RngState, load_tensor, save_tensor
+
+HEAD_JITTER = 1.5     # px at facial coefficient 1
+TORSO_JITTER = 2.5    # px at body coefficient 1
+DRIFT_RATE = 0.9      # background phase per frame at body coefficient 1
 
 
 @dataclass(frozen=True)
@@ -29,12 +39,6 @@ class SynthConfig:
     width: int = 32
     envelope_samples: int = 2048
     identities: int = 32
-    crop_row: int = 4
-    crop_col: int = 12
-    crop_size: int = 16
-    head_jitter: float = 1.5     # px at facial coefficient 1
-    torso_jitter: float = 2.5    # px at body coefficient 1
-    drift_rate: float = 0.9     # background phase per frame at body coefficient 1
 
     def __post_init__(self):
         if min(self.frames, self.height, self.width, self.identities) < 1:
@@ -87,7 +91,6 @@ class Sample:
     lip_mask: np.ndarray    # [F,H,W] binary
     landmarks: np.ndarray   # [F,12,2] normalized coords
     joints: np.ndarray      # [F,4,2]
-    face_crop: np.ndarray   # [crop,crop,3] from frame 0
     fg_mask: np.ndarray     # [F,H,W] binary
     spec: SceneSpec
 
@@ -159,9 +162,9 @@ def generate_sample(spec: SceneSpec, config: SynthConfig = SynthConfig()) -> Sam
     t_r0, t_r1, t_c0, t_c1 = layout["torso"]
 
     rng = RngState(spec.seed)
-    head_dr = _smooth_unit_walk(rng.stream("head_r"), F) * spec.omega_l * config.head_jitter
-    head_dc = _smooth_unit_walk(rng.stream("head_c"), F) * spec.omega_l * config.head_jitter
-    torso_dc = _smooth_unit_walk(rng.stream("torso"), F) * spec.omega_b * config.torso_jitter
+    head_dr = _smooth_unit_walk(rng.stream("head_r"), F) * spec.omega_l * HEAD_JITTER
+    head_dc = _smooth_unit_walk(rng.stream("head_c"), F) * spec.omega_l * HEAD_JITTER
+    torso_dc = _smooth_unit_walk(rng.stream("torso"), F) * spec.omega_b * TORSO_JITTER
 
     face_color = np.array(spec.identity[:3])
     torso_color = face_color * 0.55 + 0.15
@@ -180,7 +183,7 @@ def generate_sample(spec: SceneSpec, config: SynthConfig = SynthConfig()) -> Sam
     joints = np.zeros((F, 4, 2), dtype=np.float32)
 
     for i in range(F):
-        drift = phase + spec.omega_b * config.drift_rate * i
+        drift = phase + spec.omega_b * DRIFT_RATE * i
         tex = 0.45 + 0.18 * np.sin(2 * np.pi * (fa * rows + fb * cols) / H + drift) \
             + 0.12 * np.sin(2 * np.pi * (fb * rows - fa * cols) / W - 0.7 * drift)
         frame = np.repeat(tex[:, :, None], 3, axis=2)
@@ -233,13 +236,10 @@ def generate_sample(spec: SceneSpec, config: SynthConfig = SynthConfig()) -> Sam
         joints[i] = [((t_r0) / H, (c0 + 1) / W), ((t_r0) / H, (c1 - 1) / W),
                      ((t_r1 - 1) / H, (c0 + 1) / W), ((t_r1 - 1) / H, (c1 - 1) / W)]
 
-    crop = video[0, config.crop_row:config.crop_row + config.crop_size,
-                 config.crop_col:config.crop_col + config.crop_size].copy()
-
     sample = Sample(video=video, envelope=spec.envelope, lip_mask=lip_mask,
                     landmarks=np.clip(landmarks, 0.0, 1.0),
                     joints=np.clip(joints, 0.0, 1.0),
-                    face_crop=crop, fg_mask=fg_mask, spec=spec)
+                    fg_mask=fg_mask, spec=spec)
     _check_mouth_sync(sample, config)
     return sample
 
@@ -262,8 +262,7 @@ def _check_mouth_sync(sample: Sample, config: SynthConfig) -> None:
 # ----------------------------------------------------------------------
 # on-disk corpus
 
-_SAMPLE_FILES = ("video", "envelope", "lip_mask", "landmarks", "joints",
-                 "face_crop", "fg_mask")
+_SAMPLE_FILES = ("video", "envelope", "lip_mask", "landmarks", "joints", "fg_mask")
 
 
 def _sha256(path: Path) -> str:
@@ -292,13 +291,7 @@ def write_dataset(specs: Sequence[SceneSpec], out_dir,
             "background": list(spec.background), "seed": spec.seed,
             "checksums": checksums,
         })
-    manifest = {
-        "config": {k: getattr(config, k) for k in (
-            "frames", "height", "width", "envelope_samples", "identities",
-            "crop_row", "crop_col", "crop_size", "head_jitter", "torso_jitter",
-            "drift_rate")},
-        "samples": records,
-    }
+    manifest = {"config": asdict(config), "samples": records}
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=1))
     return manifest_path

@@ -91,14 +91,9 @@ class LossReport:
 # noising
 
 
-def _as_array(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
 def flow_noise_and_target(z, eps, t) -> Tuple[Tensor, Tensor]:
     """Straight-path interpolation z_t = (1-t) z + t eps with constant
     velocity target eps - z. `t` may be scalar or per-sample [B]."""
-    z, eps = _as_array(z), _as_array(eps)
     t_arr = np.asarray(t, dtype=z.dtype)
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError(f"t must lie in [0, 1], got {t_arr}")

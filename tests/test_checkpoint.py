@@ -36,7 +36,7 @@ TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
 TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
                                   head_dim=8, n_id=2)
 TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4, crop_row=0, crop_col=0, crop_size=16)
+                         identities=4)
 
 
 @pytest.fixture(scope="module")
@@ -197,15 +197,9 @@ class TestMalformed:
         _inspect_fails_cleanly(path, capsys)
 
     def test_retired_header_keys(self, saved_bytes, tmp_path, capsys):
-        # every checkpoint written before these keys were retired carries them
-        current, old = tmp_path / "current.pfck", tmp_path / "old.pfck"
-        current.write_bytes(saved_bytes)
-        old.write_bytes(_with_header(
-            saved_bytes, lambda h: h + "enc.temporal_stride = 1\ntrain.optimizer = adam\n"))
-        a, b = load_checkpoint(current), load_checkpoint(old)
-        assert (a.dit, a.enc, a.train, a.step) == (b.dit, b.enc, b.train, b.step)
-        assert main(["inspect", "--ckpt", str(old)]) == 0
-        for line in ("train.optimizer = sgd\n", "enc.temporal_stride = 2\n"):
+        # only format-1 checkpoints carried these, and no reader is kept for them
+        old = tmp_path / "old.pfck"
+        for line in ("train.optimizer = adam\n", "enc.temporal_stride = 1\n"):
             old.write_bytes(_with_header(saved_bytes, lambda h: h + line))
             _inspect_fails_cleanly(old, capsys)
 
@@ -258,14 +252,20 @@ class TestMalformed:
         _, tensors = read_checkpoint_raw(path)
         assert _with_records(saved_bytes, sorted(tensors.items())) == saved_bytes
 
-    @pytest.mark.parametrize("edit", ["version 1", "name stored twice", "trailing bytes"])
+    @pytest.mark.parametrize("edit", ["version 1", "version 2", "derived key in header",
+                                      "name stored twice", "trailing bytes"])
     def test_unreadable_layout_fails_cleanly(self, saved_bytes, tmp_path, capsys, edit):
         path = tmp_path / "edited.pfck"
         path.write_bytes(saved_bytes)
         records = sorted(read_checkpoint_raw(path)[1].items())
         raw, message = {
             "version 1": (saved_bytes[:4] + struct.pack("<I", 1) + saved_bytes[8:],
-                          "format version 1 unsupported (expected 2)"),
+                          "format version 1 unsupported (expected 3)"),
+            "version 2": (saved_bytes[:4] + struct.pack("<I", 2) + saved_bytes[8:],
+                          "format version 2 unsupported (expected 3)"),
+            "derived key in header": (_with_header(saved_bytes,
+                                                   lambda h: h + "dit.latent_h = 2\n"),
+                                      "unknown config key 'dit.latent_h'"),
             "name stored twice": (_with_records(saved_bytes, records[:2] + records[1:]),
                                   f"tensor {records[1][0]!r} stored twice"),
             "trailing bytes": (saved_bytes + bytes(16), "16 bytes after the last tensor"),

@@ -187,7 +187,20 @@ def test_conflicting_derived_config_rejected(workspace, capsys):
     assert main(["train", "--data", str(data), "--out",
                  str(workspace / "bad_run"), "--config", str(cfg),
                  "--holdout", "3"]) == 2
-    assert "conflicts" in capsys.readouterr().err
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_checkpoint_only_config_keys_rejected(workspace, capsys):
+    # state.* and norm.* belong to checkpoint headers; a config file cannot set them
+    cfg = workspace / "header_keys.cfg"
+    for line in ("state.step = 7", "norm.facial_min = 5.0", "state.adam_count = 3"):
+        cfg.write_text(f"train.steps_clip = 1\ntrain.steps_frame = 0\n{line}\n")
+        assert main(["train", "--data", str(workspace / "data"), "--out",
+                     str(workspace / "header_run"), "--config", str(cfg),
+                     "--holdout", "3"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert f"unknown config key {line.split(' =')[0]!r}" in err[0]
 
 
 def test_write_ppm(tmp_path):

@@ -1,14 +1,18 @@
 """Flat typed config text."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from portraitflow.config import (
+    SECTIONS,
     config_schema,
     configs_to_flat,
     dump_flat,
     flat_to_configs,
+    format_value,
     parse_flat,
 )
 from portraitflow.encoders import EncoderConfig
@@ -27,11 +31,9 @@ def test_round_trip_preserves_values_exactly():
     assert dit2 == dit and enc2 == enc and train2 == train
 
 
-def test_retired_keys_accepted_at_their_one_value_and_dropped():
-    text = "train.optimizer = adam\nenc.temporal_stride = 1\ntrain.seed = 2\n"
-    assert parse_flat(text) == {"train.seed": 2}
-    for line in ("train.optimizer = sgd", "enc.temporal_stride = 2"):
-        with pytest.raises(ValueError, match="line 1: retired key"):
+def test_retired_keys_rejected():
+    for line in ("train.optimizer = adam", "enc.temporal_stride = 1"):
+        with pytest.raises(ValueError, match="line 1: unknown config key"):
             parse_flat(line + "\n")
 
 
@@ -39,8 +41,22 @@ def test_dit_geometry_derived_from_encoder_keys():
     dit, enc, _ = flat_to_configs({"enc.frames": 4, "enc.patch": 4, "dit.width": 32})
     assert (dit.latent_frames, dit.latent_h, dit.latent_width) == (4, 8, 48)
     assert dit.head_dim == 8  # width / heads
-    with pytest.raises(ValueError, match="conflicts"):
-        flat_to_configs({"enc.frames": 4, "dit.latent_frames": 8})
+    for line in ("dit.latent_frames = 8", "dit.head_dim = 16"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_flat(line + "\n")
+    for heads in (3, 0):
+        with pytest.raises(ValueError, match="not divisible"):
+            flat_to_configs({"dit.width": 32, "dit.heads": heads})
+
+
+@pytest.mark.parametrize("key", sorted(k for k in config_schema()
+                                       if k.split(".")[0] in SECTIONS))
+def test_every_config_key_round_trips_two_legal_values(key):
+    default = configs_to_flat(DiTConfig(), EncoderConfig(), TrainConfig())[key]
+    other = (default * 2 or 1) if isinstance(default, int) else default / 2
+    for value in (default, other):
+        configs = flat_to_configs(parse_flat(f"{key} = {format_value(value)}\n"))
+        assert configs_to_flat(*configs)[key] == value
 
 
 def test_unknown_key_rejected():
@@ -70,12 +86,17 @@ def test_bool_parsing():
 
 
 def test_schema_covers_all_dataclass_fields():
+    # every enc/train field is settable; every other dit field follows the encoders
     schema = config_schema()
-    for section, cls in (("dit", DiTConfig), ("enc", EncoderConfig),
-                         ("train", TrainConfig)):
-        import dataclasses
+    for section, cls in (("enc", EncoderConfig), ("train", TrainConfig)):
         for field in dataclasses.fields(cls):
             assert f"{section}.{field.name}" in schema
+    enc = EncoderConfig(frames=4, patch=4, audio_width=8, id_feat_width=8)
+    flat = {f"enc.{name}": value for name, value in dataclasses.asdict(enc).items()}
+    dit, _, _ = flat_to_configs({**flat, "dit.width": 32})
+    for field in dataclasses.fields(DiTConfig):
+        default = getattr(DiTConfig(), field.name)
+        assert f"dit.{field.name}" in schema or getattr(dit, field.name) != default
 
 
 _KEYS = sorted(config_schema()) + ["train.optimizer", "enc.temporal_stride"]

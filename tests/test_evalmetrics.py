@@ -76,9 +76,7 @@ class TestIdentityProxy:
     def test_repeated_reference_frame_scores_zero(self):
         frame = np.random.default_rng(0).random((8, 8, 3))
         video = np.tile(frame, (5, 1, 1, 1))
-        crop_region = (1, 1, 4)
-        ref = frame[1:5, 1:5]
-        err = identity_proxy(video, ref, crop_region, lambda c: c.reshape(-1))
+        err = identity_proxy(video, frame, lambda f: f[1:5, 1:5].reshape(-1))
         assert err == pytest.approx(0.0, abs=1e-12)
 
     def test_cosine_distance_symmetric_and_nonnegative(self):
@@ -91,8 +89,8 @@ class TestIdentityProxy:
     def test_distinct_content_scores_positive(self):
         rng = np.random.default_rng(2)
         video = rng.random((4, 8, 8, 3))
-        ref = rng.random((4, 4, 3))
-        err = identity_proxy(video, ref, (1, 1, 4), lambda c: c.reshape(-1))
+        ref = rng.random((8, 8, 3))
+        err = identity_proxy(video, ref, lambda f: f[1:5, 1:5].reshape(-1))
         assert err > 0.0
 
 
@@ -142,14 +140,6 @@ class TestDynamicsProxy:
         mask[1:3, 1:3] = 1.0
         assert dynamics_proxy(video, mask) == pytest.approx(
             dynamics_proxy(video + 0.2, mask))
-
-    def test_per_frame_mask_union(self):
-        video = np.zeros((2, 4, 4, 3))
-        video[1, 0, 0, :] = 1.0
-        masks = np.zeros((2, 4, 4))
-        masks[1, 0, 0] = 1.0  # fg only in the second frame
-        sd, bd = dynamics_proxy(video, masks)
-        assert sd > 0.0 and bd == 0.0
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="2 frames"):

@@ -18,7 +18,6 @@ from portraitflow.numerics import Tensor, no_grad
 from portraitflow.sampling import (
     SampleConfig,
     cfg_velocity,
-    checkpoint_mode,
     guidance_pair,
     integrate_flow,
     sample,
@@ -33,7 +32,7 @@ TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
 TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
                                   head_dim=8, n_id=2)
 TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4, crop_row=0, crop_col=0, crop_size=16)
+                         identities=4)
 
 
 @pytest.fixture(scope="module")
@@ -220,13 +219,22 @@ class TestSample:
 
     def test_mode_defaults_to_trained_stage(self, tiny_state):
         state, samples = tiny_state
-        assert checkpoint_mode(state) == "frame"
+        assert state.step > state.train.steps_clip
         _, info = sample(samples[0].video[0], samples[0].envelope,
                          SampleConfig(steps=2, seed=0), state)
         assert info["mode"] == "frame"
         _, info = sample(samples[0].video[0], samples[0].envelope,
                          SampleConfig(steps=2, seed=0, mode="clip"), state)
         assert info["mode"] == "clip"
+
+    @pytest.mark.parametrize("where", ["0", "steps_clip", "steps_clip + 1"])
+    def test_default_mode_is_the_stage_of_the_last_trained_step(self, tiny_state, where):
+        state, samples = tiny_state
+        clip_steps = state.train.steps_clip
+        step = {"0": 0, "steps_clip": clip_steps, "steps_clip + 1": clip_steps + 1}[where]
+        _, info = sample(samples[0].video[0], samples[0].envelope, SampleConfig(steps=1),
+                         dataclasses.replace(state, step=step))
+        assert info["mode"] == ("frame" if where == "steps_clip + 1" else "clip")
 
     def test_drop_all_conditions_only_changes_guided_samples(self, tiny_state):
         # at scale 1 guidance reduces to v_cond, so nulling identity and

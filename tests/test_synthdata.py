@@ -1,10 +1,13 @@
 """Generator determinism, ground-truth consistency, corpus round trips."""
 
+import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
 
+from portraitflow.encoders import EncoderConfig, crop_face
 from portraitflow.motion import MotionNorm, compute_coefficient, raw_motion_variance
 from portraitflow.synthdata import (
     SceneSpec,
@@ -90,7 +93,8 @@ class TestGenerateSample:
         assert sample.landmarks.shape == (F, 12, 2)
         assert sample.joints.shape == (F, 4, 2)
         assert sample.fg_mask.shape == (F, H, W)
-        assert sample.face_crop.shape == (CFG.crop_size, CFG.crop_size, 3)
+        enc = EncoderConfig()
+        assert crop_face(sample.video[0], enc).shape == (enc.crop_size, enc.crop_size, 3)
         assert 0.0 <= sample.video.min() and sample.video.max() <= 1.0
         assert ((sample.landmarks >= 0) & (sample.landmarks <= 1)).all()
 
@@ -108,7 +112,8 @@ class TestIdentitySeparation:
     def test_nearest_centroid_classifier_on_face_crops(self):
         cfg = SynthConfig(identities=32)
         specs = make_corpus_specs(64, 0, cfg)  # two clips per identity
-        crops = [generate_sample(s, cfg).face_crop for s in specs]
+        crops = [crop_face(generate_sample(s, cfg).video[0], EncoderConfig())
+                 for s in specs]
         # mean color of the crop center, where the face always sits
         feats = np.stack([c[4:12, 4:12].mean(axis=(0, 1)) for c in crops])
         centroids = feats[:32]
@@ -136,6 +141,19 @@ class TestCorpusIO:
             assert np.array_equal(a.fg_mask, b.fg_mask)
             assert a.spec.seed == b.spec.seed
             assert a.spec.omega_l == pytest.approx(b.spec.omega_l)
+
+    def test_stored_layout_is_six_files_per_sample(self, tmp_path):
+        cfg = SynthConfig(frames=4, height=16, width=16, envelope_samples=64, identities=2)
+        write_dataset(make_corpus_specs(2, 0, cfg), tmp_path, cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"] == dataclasses.asdict(cfg)
+        for record in manifest["samples"]:
+            stored = sorted(p.name for p in (tmp_path / record["dir"]).iterdir())
+            assert stored == sorted(f"{name}.pft" for name in (
+                "video", "envelope", "lip_mask", "landmarks", "joints", "fg_mask"))
+            assert sorted(record["checksums"]) == sorted(n[:-4] for n in stored)
+        loaded, read_cfg = read_dataset(tmp_path)
+        assert read_cfg == cfg and len(loaded) == 2
 
     def test_corrupted_file_names_the_sample(self, tmp_path):
         write_dataset(make_corpus_specs(2, 0, CFG), tmp_path, CFG)

@@ -168,7 +168,6 @@ OP_CASES = [
      {"a": (3, 4), "b": (4,)}),
     ("sub", lambda p: (p["a"] - p["b"]).square().sum(), {"a": (2, 3), "b": (2, 3)}),
     ("mul_broadcast", lambda p: (p["a"] * p["b"]).sum(), {"a": (2, 1, 4), "b": (3, 4)}),
-    ("neg", lambda p: (-p["a"]).square().sum(), {"a": (5,)}),
     ("matmul_batched", lambda p: (p["a"] @ p["b"]).square().sum(),
      {"a": (2, 3, 4), "b": (4, 2)}),
     ("reshape", lambda p: p["a"].reshape(6).square().sum(), {"a": (2, 3)}),

@@ -36,7 +36,7 @@ TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
 TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
                                   head_dim=8, n_id=2)
 TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4, crop_row=0, crop_col=0, crop_size=16)
+                         identities=4)
 
 
 @pytest.fixture(scope="module")
