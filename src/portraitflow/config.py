@@ -46,9 +46,10 @@ def dump_flat(values: Dict[str, object]) -> str:
 
 def parse_flat(text: str, extra: Mapping[str, type] = {}) -> Dict[str, object]:
     """Parse and type-check config text against the schema plus `extra`
-    (the keys only a checkpoint header carries)."""
+    (the keys only a checkpoint header carries). A key may be given once."""
     schema = {**config_schema(), **extra}
     values: Dict[str, object] = {}
+    first_line: Dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -58,6 +59,10 @@ def parse_flat(text: str, extra: Mapping[str, type] = {}) -> Dict[str, object]:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in schema:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: config key {key!r} "
+                             f"already given on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = schema[key](raw)
         except ValueError as exc:

@@ -14,6 +14,7 @@ reuses one bundle across many forwards projects them once
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -50,8 +51,9 @@ class DiTConfig:
         if self.width != self.heads * self.head_dim:
             raise ValueError(
                 f"width {self.width} != heads {self.heads} x head_dim {self.head_dim}")
-        if self.lambda_audio < 0 or self.lambda_identity < 0:
-            raise ValueError("conditioning weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.lambda_audio, self.lambda_identity)):
+            raise ValueError(f"lambda_audio {self.lambda_audio} and lambda_identity "
+                             f"{self.lambda_identity} must be finite and nonnegative")
 
     @property
     def video_tokens(self) -> int:
@@ -214,9 +216,9 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
     h = silu(linear(feats, params["t_mlp1.w"], params["t_mlp1.b"]))
     t_embed = linear(h, params["t_mlp2.w"], params["t_mlp2.b"])
 
-    gate_in = silu(t_embed + motion_embed(motion, params))
+    gate_in = silu(t_embed + motion_embed(motion, params)).reshape(-1, 1, config.width)
     return [linear(gate_in, params[f"block{i}.mod.w"], params[f"block{i}.mod.b"])
-            .reshape(-1, 1, 6 * config.width) for i in range(config.depth)]
+            for i in range(config.depth)]
 
 
 def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
@@ -254,20 +256,17 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
                                index: int) -> Tuple[Tensor, Tensor]:
     """Unit-weight audio and identity increments for block `index`,
     computed from the current hidden state with the block's shared query
-    projection and no extra normalization."""
+    projection and no extra normalization. One audio `attention` call serves
+    both stages: frame mode passes `blocks=f`, so each frame's video tokens
+    attend only to that frame's audio segment."""
     b = f"block{index}."
     heads = config.heads
     q = linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"])
     ak, av, ik, iv = condition_kv(bundle, params, config, index)
-    if bundle.mode == "frame":
-        if not bundle.mapping.is_uniform():
-            raise ValueError("frame mode requires equal-length audio segments")
-        f = bundle.mapping.frames
-        # [B x n x c] -> [B x f x n/f x c]: each frame's tokens and segment
-        qf, kf, vf = (x.reshape(x.shape[0], f, -1, config.width) for x in (q, ak, av))
-        att = attention(qf, kf, vf, heads=heads).reshape(q.shape)
-    else:
-        att = attention(q, ak, av, heads=heads)
+    if bundle.mode == "frame" and not bundle.mapping.is_uniform():
+        raise ValueError("frame mode requires equal-length audio segments")
+    blocks = bundle.mapping.frames if bundle.mode == "frame" else 1
+    att = attention(q, ak, av, heads=heads, blocks=blocks)
     audio_inc = linear(att, params[b + "xa.wo"], params[b + "xa.wo_b"])
     id_att = attention(q, ik, iv, heads=heads)
     id_inc = linear(id_att, params[b + "xid.wo"], params[b + "xid.wo_b"])

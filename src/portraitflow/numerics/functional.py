@@ -108,20 +108,22 @@ def silu(x: Tensor) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
-              heads: int = 1) -> Tensor:
+              heads: int = 1, blocks: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention for `q` [... x n_q x c] and
     `k`, `v` [... x n_k x c], as one node; leading axes broadcast as in
-    matmul. The width `c` splits into `heads` heads of c/heads, attended
-    separately and merged back, so the output is [... x n_q x c].
+    matmul. The width `c` splits into `heads` heads of c/heads, and both
+    lengths into `blocks` equal contiguous blocks that each attend only
+    within themselves (frame-scoped audio attention is `blocks=f`); all are
+    attended separately and merged back, so the output is [... x n_q x c].
 
-    `mask` is an [n_q x n_k] additive mask shared by all heads, with
-    entries 0 (keep) or -inf (block); blocked keys receive exactly zero
-    weight. A fully blocked query row is a degenerate attention row and
-    raises.
+    `mask` is an [n_q/blocks x n_k/blocks] additive mask shared by all
+    blocks and heads, with entries 0 (keep) or -inf (block); blocked keys
+    receive exactly zero weight. A fully blocked query row is a degenerate
+    attention row and raises.
 
-    Scores are stored key-major, S^T = K Q^T [... x heads x n_k x n_q], so
-    the softmax reduces over axis -2 in whole contiguous rows, far faster
-    than over the short audio and identity key axes. The backward is closed
+    Scores are stored key-major, S^T = K Q^T per block and head, so the
+    softmax reduces over axis -2 in whole contiguous rows, far faster than
+    over the short audio and identity key axes. The backward is closed
     form from the saved P^T: dV = P^T dO, dS^T = scale * P^T * (V dO^T - D)
     with FlashAttention's D = rowsum(dO * O) (equal to rowsum(dP * P), but
     taken over the head width), dQ = (dS^T)^T K and dK = dS^T Q.
@@ -134,13 +136,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
         raise ValueError(f"q/k/v widths differ: {q.data.shape}, {k.data.shape}, {v.data.shape}")
     if v.data.shape[-2] != k.data.shape[-2]:
         raise ValueError(f"k/v lengths differ: {k.data.shape} vs {v.data.shape}")
+    if blocks < 1 or q.shape[-2] % blocks or k.shape[-2] % blocks:
+        raise ValueError(f"lengths {q.shape[-2]}, {k.shape[-2]} not divisible by {blocks} blocks")
 
-    def split(a):  # [... x n x c] -> [... x heads x n x c/heads], a view
-        return np.swapaxes(a.reshape(a.shape[:-1] + (heads, width // heads)), -2, -3)
+    def split(a):  # [... x n x c] -> [... x blocks x heads x n/blocks x c/heads], a view
+        shape = a.shape[:-2] + (blocks, a.shape[-2] // blocks, heads, width // heads)
+        return np.swapaxes(a.reshape(shape), -2, -3)
 
     def merge(a):  # the inverse of `split`, one copy
         a = np.swapaxes(a, -2, -3)
-        return a.reshape(a.shape[:-2] + (width,))
+        return a.reshape(a.shape[:-4] + (a.shape[-4] * a.shape[-3], width))
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / float(np.sqrt(width // heads))

@@ -117,7 +117,7 @@ def masked_gated_loss(per_element_loss: Tensor, mask: np.ndarray, eta: float,
                       rng: np.random.Generator) -> Tuple[Tensor, GateOutcome]:
     """Lip-weighted loss applied with probability 1 - eta.
 
-    `per_element_loss` is [..., f, h, w, c]; `mask` is [..., f, h, w] in
+    `per_element_loss` is any [..., c] loss and `mask` its [...] weights in
     [0, 1]. One uniform draw decides the branch: p > eta takes the
     mask-normalized mean sum(M*L) / max(sum(M)*c, 1), otherwise the plain
     mean. An all-zero mask falls back to the plain mean with a warning
@@ -208,10 +208,10 @@ class Adam:
 
 @dataclass
 class TrainingTensors:
-    """Precomputed frozen-encoder outputs for a sample list."""
+    """Precomputed frozen-encoder outputs for a sample list. No reference
+    latent is stored: `build_bundle` repeats frame 0 of `latents`."""
 
     latents: np.ndarray      # [n, N, c_lat]
-    references: np.ndarray   # [n, N, c_lat]
     audio: np.ndarray        # [n, l, c_a]
     id_features: np.ndarray  # [n, n_feat, c_feat]
     lip_masks: np.ndarray    # [n, f, h, w]
@@ -230,12 +230,9 @@ def prepare_training_tensors(samples: Sequence, enc_params: EncoderParams,
     clips) and leave the freed rows fragmenting the heap."""
     if not samples:
         raise ValueError("no samples to prepare")
-    hw = enc.latent_h * enc.latent_w
     arrays = None
     for i, sample in enumerate(samples):
-        tokens = patchify_video(PixelVideo(sample.video), enc_params, enc)
-        row = (tokens,
-               np.tile(tokens[:hw], (enc.latent_frames, 1)),
+        row = (patchify_video(PixelVideo(sample.video), enc_params, enc),
                encode_audio(sample.envelope, enc_params, enc),
                identity_conv_features(crop_face(sample.video[0], enc), enc_params, enc),
                project_mask_trilinear(sample.lip_mask, enc.latent_frames,
@@ -244,9 +241,9 @@ def prepare_training_tensors(samples: Sequence, enc_params: EncoderParams,
             arrays = [np.empty((len(samples),) + a.shape, dtype=np.float32) for a in row]
         for out, a in zip(arrays, row):
             out[i] = a
-    latents, references, audio, id_features, lip_masks = arrays
+    latents, audio, id_features, lip_masks = arrays
     omegas = np.asarray([[s.spec.omega_l, s.spec.omega_b] for s in samples], dtype=np.float32)
-    return TrainingTensors(latents=latents, references=references, audio=audio,
+    return TrainingTensors(latents=latents, audio=audio,
                            id_features=id_features, lip_masks=lip_masks, omegas=omegas)
 
 
@@ -296,15 +293,17 @@ def init_trainer(dit: DiTConfig, enc: EncoderConfig, train: TrainConfig,
 def build_bundle(state: TrainerState, data: TrainingTensors, idx: np.ndarray,
                  mode: str) -> ConditioningBundle:
     """Assemble the conditioning bundle for a batch of sample indices;
-    identity tokens go through the trainable query head."""
-    params = state.params
+    identity tokens go through the trainable query head, and the reference
+    latent is each clip's frame-0 tokens repeated along f, as in sampling."""
+    params, dit = state.params, state.dit
     id_tokens = identity_attend(Tensor(data.id_features[idx]), params)
-    mapping = segment_audio(state.dit.audio_tokens, state.dit.latent_frames)
+    mapping = segment_audio(dit.audio_tokens, dit.latent_frames)
+    hw = dit.latent_h * dit.latent_w
     return ConditioningBundle(
         audio=Tensor(data.audio[idx]),
         identity=id_tokens,
         motion=Tensor(data.omegas[idx]),
-        reference=Tensor(data.references[idx]),
+        reference=Tensor(np.tile(data.latents[idx, :hw], (1, dit.latent_frames, 1))),
         mode=mode,
         mapping=mapping,
         null_audio=params["null_audio"],
@@ -332,12 +331,9 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
     v_pred = model_forward(z_t, t, bundle, state.params, state.dit)
     per_element = (v_pred - v_target).square()
 
-    dit = state.dit
-    shaped = per_element.reshape(batch, dit.latent_frames, dit.latent_h,
-                                 dit.latent_w, dit.latent_width)
     masks = data.lip_masks[idx]
     if stage == "frame":
-        loss, outcome = masked_gated_loss(shaped, masks, cfg.eta,
+        loss, outcome = masked_gated_loss(per_element, masks.reshape(batch, -1), cfg.eta,
                                           rng.stream("gate", step))
     else:
         loss = per_element.mean()

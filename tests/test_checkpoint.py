@@ -253,7 +253,8 @@ class TestMalformed:
         assert _with_records(saved_bytes, sorted(tensors.items())) == saved_bytes
 
     @pytest.mark.parametrize("edit", ["version 1", "version 2", "derived key in header",
-                                      "name stored twice", "trailing bytes"])
+                                      "key given twice in header", "name stored twice",
+                                      "trailing bytes"])
     def test_unreadable_layout_fails_cleanly(self, saved_bytes, tmp_path, capsys, edit):
         path = tmp_path / "edited.pfck"
         path.write_bytes(saved_bytes)
@@ -266,6 +267,9 @@ class TestMalformed:
             "derived key in header": (_with_header(saved_bytes,
                                                    lambda h: h + "dit.latent_h = 2\n"),
                                       "unknown config key 'dit.latent_h'"),
+            "key given twice in header": (_with_header(saved_bytes,
+                                                       lambda h: h + "train.seed = 1\n"),
+                                          "config key 'train.seed' already given on line"),
             "name stored twice": (_with_records(saved_bytes, records[:2] + records[1:]),
                                   f"tensor {records[1][0]!r} stored twice"),
             "trailing bytes": (saved_bytes + bytes(16), "16 bytes after the last tensor"),

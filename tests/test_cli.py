@@ -156,6 +156,42 @@ def test_impossible_training_value_in_config_file_rejected(workspace, capsys):
     assert len(err) == 1 and "batch_size" in err[0], err
 
 
+def test_config_key_given_twice_rejected(workspace, capsys):
+    # the parent kept the last value and trained 2 steps
+    cfg = workspace / "twice.cfg"
+    cfg.write_text("train.steps_clip = 1\ntrain.steps_frame = 0\ntrain.steps_clip = 2\n")
+    out = workspace / "twice_run"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--config", str(cfg), "--holdout", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "line 3: config key 'train.steps_clip' already given on line 1" in err[0]
+    assert not out.exists()
+
+
+def test_non_finite_conditioning_weight_in_config_file_rejected(workspace, capsys):
+    cfg = workspace / "inf_lambda.cfg"
+    cfg.write_text("train.steps_clip = 1\ntrain.steps_frame = 0\ndit.lambda_audio = inf\n")
+    out = workspace / "inf_lambda_run"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--config", str(cfg), "--holdout", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+def test_bad_identity_weight_override_rejected(workspace, capsys, weight):
+    # at nan the parent printed a table of nan metrics and exited 0
+    out = workspace / f"eval_lambda_{weight}"
+    assert main(["eval", "--ckpt", str(workspace / "run" / "checkpoint_final.pfck"),
+                 "--data", str(workspace / "data"), "--out", str(out), "--count", "1",
+                 "--steps", "1", "--lambda-identity", weight]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "lambda_identity" in err[0], err
+    assert not out.exists()
+
+
 def test_unreadable_checkpoint_fails_with_diagnostic(workspace, capsys, tmp_path):
     bad = tmp_path / "bad.pfck"
     bad.write_bytes(b"garbage")

@@ -69,6 +69,12 @@ def test_bad_value_rejected_with_line_number():
         parse_flat("train.lr = banana\n")
 
 
+def test_key_given_twice_rejected_with_both_line_numbers():
+    # the parent kept the last value: {'train.seed': 2}
+    with pytest.raises(ValueError, match="line 3: config key 'train.seed' already given on line 1"):
+        parse_flat("train.seed = 1\n# a comment\ntrain.seed = 2\n")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ValueError, match="key = value"):
         parse_flat("train.lr 0.1\n")

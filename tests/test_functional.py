@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from portraitflow.alignment import block_mask, segment_audio
 from portraitflow.numerics import (
     Tensor,
     attention,
@@ -243,26 +244,30 @@ class TestAttention:
                 lambda p: attention(p["q"], p["k"], p["v"]).square().sum(), params)
             assert err <= 1e-4
 
-    ATTENTION_SHAPES = {
+    ATTENTION_SHAPES = {  # (q shape, k/v shape, heads, blocks)
         # one head, with two leading batch axes
-        "heads_4d": ((2, 2, 5, 4), (2, 2, 6, 4), 1),
+        "heads_4d": ((2, 2, 5, 4), (2, 2, 6, 4), 1, 1),
         # one head, with three leading batch axes
-        "frame_5d": ((2, 2, 3, 4, 4), (2, 2, 3, 2, 4), 1),
+        "frame_5d": ((2, 2, 3, 4, 4), (2, 2, 3, 2, 4), 1, 1),
         # identity_attend: shared [n_id x c] queries against [B x n_feat x c]
-        "queries_2d": ((3, 4), (2, 5, 4), 1),
+        "queries_2d": ((3, 4), (2, 5, 4), 1, 1),
         # keys shared over the batch, one head
-        "keys_broadcast": ((2, 2, 5, 4), (1, 2, 3, 4), 1),
+        "keys_broadcast": ((2, 2, 5, 4), (1, 2, 3, 4), 1, 1),
         # the DiT blocks: self-attention [B x N x c]
-        "self_heads2": ((2, 5, 4), (2, 6, 4), 2),
-        # frame-scoped audio attention [B x f x hw x c]
-        "frame_heads2": ((2, 3, 4, 4), (2, 3, 2, 4), 2),
+        "self_heads2": ((2, 5, 4), (2, 6, 4), 2, 1),
+        # per-frame attention on explicit [B x f x hw x c] frame axes
+        "frame_heads2": ((2, 3, 4, 4), (2, 3, 2, 4), 2, 1),
         # identity keys [1 x n_id x c] broadcast over the batch
-        "id_keys_heads2": ((2, 5, 4), (1, 3, 4), 2),
+        "id_keys_heads2": ((2, 5, 4), (1, 3, 4), 2, 1),
+        # frame-scoped audio attention: [B x N x c] in f = 3 blocks
+        "blocks_heads2": ((2, 12, 4), (2, 6, 4), 2, 3),
+        # blocks with keys broadcast over the batch
+        "blocks_keys_broadcast": ((2, 8, 4), (1, 4, 4), 1, 4),
     }
 
     @pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
     def test_backward_at_model_shapes(self, case):
-        q_shape, kv_shape, heads = self.ATTENTION_SHAPES[case]
+        q_shape, kv_shape, heads, blocks = self.ATTENTION_SHAPES[case]
         for seed in range(3):
             rng = np.random.default_rng(seed)
             params = {
@@ -270,9 +275,8 @@ class TestAttention:
                 "k": Tensor(rng.standard_normal(kv_shape), requires_grad=True),
                 "v": Tensor(rng.standard_normal(kv_shape), requires_grad=True),
             }
-            err = grad_check(
-                lambda p: attention(p["q"], p["k"], p["v"], heads=heads).square().sum(),
-                params)
+            err = grad_check(lambda p: attention(p["q"], p["k"], p["v"], heads=heads,
+                                                 blocks=blocks).square().sum(), params)
             assert err <= 1e-4, f"{case} seed {seed}"
 
     def test_forward_matches_composed_graph_bit_for_bit(self):
@@ -340,11 +344,30 @@ class TestAttention:
         loss(params).backward()
         assert not params["k"].grad[:, 1].any() and not params["v"].grad[:, 1].any()
 
+    @pytest.mark.parametrize("kv_shape", [(2, 32, 64), (1, 32, 64)])
+    def test_blocks_equal_attention_under_block_mask(self, kv_shape):
+        # the alignment theorem at node level: frame-scoped audio attention
+        # (f = 8 blocks) equals clip attention under the frame/segment mask
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.standard_normal(s) for s in ((2, 128, 64), kv_shape, kv_shape))
+        with precision("f64"):
+            out = attention(Tensor(q), Tensor(k), Tensor(v), heads=4, blocks=8).numpy()
+            masked = attention(Tensor(q), Tensor(k), Tensor(v),
+                               block_mask(segment_audio(32, 8), 16, 1), heads=4).numpy()
+        assert out.dtype == np.float64
+        assert np.abs(out - masked).max() <= 1e-12 * np.abs(masked).max()
+
     def test_heads_must_divide_width(self):
         x = Tensor(np.ones((2, 3, 6)))
         for heads in (0, 4):
             with pytest.raises(ValueError, match="heads"):
                 attention(x, x, x, heads=heads)
+
+    def test_blocks_must_divide_lengths(self):
+        q, kv = Tensor(np.ones((2, 6, 4))), Tensor(np.ones((2, 4, 4)))
+        for blocks in (0, -1, 3, 4):  # 3 does not divide 4 keys, 4 not 6 queries
+            with pytest.raises(ValueError, match="blocks"):
+                attention(q, kv, kv, blocks=blocks)
 
     def test_mask_must_be_query_by_key(self):
         q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))

@@ -23,7 +23,13 @@ from portraitflow.sampling import (
     sample,
 )
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
-from portraitflow.training import TrainConfig, init_trainer, prepare_training_tensors, train_step
+from portraitflow.training import (
+    TrainConfig,
+    build_bundle,
+    init_trainer,
+    prepare_training_tensors,
+    train_step,
+)
 
 TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
                          tokens_per_frame=2, samples_per_token=8,
@@ -113,6 +119,17 @@ class TestSampleConfig:
     def test_non_finite_guidance_scale_rejected(self, scale):
         with pytest.raises(ValueError, match="finite"):
             SampleConfig(cfg_scale=scale)
+
+
+def test_training_reference_is_the_sampler_reference(tiny_state):
+    # training derives each clip's reference latent from its stored latents;
+    # the sampler encodes the reference frame: the two must agree exactly
+    state, samples = tiny_state
+    data = prepare_training_tensors(samples, state.enc_params, TINY_ENC)
+    derived = build_bundle(state, data, np.arange(data.count), "clip").reference.numpy()
+    for i, clip in enumerate(samples):
+        cond = sampling._inference_bundle(state, clip.video[0], clip.envelope, SampleConfig())
+        assert np.array_equal(derived[i], cond.reference.numpy()[0]), i
 
 
 def random_bundle(state, mode, seed=0):

@@ -344,7 +344,7 @@ class TestTrainLoop:
         monkeypatch.setattr(Tensor, "backward", counting_backward)
         for step in range(cfg.total_steps):
             train_step(state, data, step)
-        assert max(counts["clip"]) <= 255 and max(counts["frame"]) <= 266, counts
+        assert max(counts["clip"]) <= 210 and max(counts["frame"]) <= 212, counts
 
     def test_single_sample_overfit(self, tiny_samples):
         cfg = self._config(steps_clip=50, steps_frame=0, batch_size=1, lr=1e-3,

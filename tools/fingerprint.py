@@ -11,11 +11,13 @@ The run: a 20-clip seed-0 corpus at the default sizes; 12 `train_step`s
 clip-mode and one frame-mode 4-step `sample()` from clip 17; and a
 3-clip `evaluate_model` on the last 3 clips; then a `save_checkpoint`/
 `load_checkpoint` round trip of the trained state. It prints the sha256
-of the prepared tensors, losses, parameters, videos, eval rows and the
-loaded checkpoint's contents (configs, normalization, step counters,
-parameters, Adam moments and encoder arrays, not the file bytes, so two
-checkpoint formats holding the same state hash alike), one sha256 over
-all six, the autodiff graph nodes of each train step, counted from the
+of the prepared tensors (the reference latents are the ones `build_bundle`
+derives for every training clip, hashed where a stored array once was, so
+a tree that stored them hashes alike), losses, parameters, videos, eval
+rows and the loaded checkpoint's contents (configs, normalization, step
+counters, parameters, Adam moments and encoder arrays, not the file
+bytes, so two checkpoint formats holding the same state hash alike), one
+sha256 over all six, the autodiff graph nodes of each train step, counted from the
 loss as `bench/run.py` counts them, and the `model_forward` calls each
 `sample()` makes.
 """
@@ -69,8 +71,11 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
     train_clips = samples[:TRAIN_CLIPS]
     state = training.init_trainer(DiTConfig.for_encoders(enc), enc, train_cfg, train_clips)
     data = training.prepare_training_tensors(train_clips, state.enc_params, enc)
-    out = {"prepared": b"".join(array_bytes(getattr(data, name)) for name in (
-        "latents", "references", "audio", "id_features", "lip_masks", "omegas"))}
+    # the derived reference latents stand where a stored array once did
+    references = training.build_bundle(state, data, np.arange(data.count), "clip").reference
+    out = {"prepared": b"".join(array_bytes(a) for a in (
+        data.latents, references.data, data.audio, data.id_features, data.lip_masks,
+        data.omegas))}
 
     nodes = {"clip": [], "frame": []}
     backward = Tensor.backward
