@@ -10,7 +10,7 @@ end-to-end with everything else).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict
 
 import numpy as np
@@ -34,6 +34,10 @@ class EncoderConfig:
     id_feat_width: int = 16          # conv2 output channels (c_feat)
 
     def __post_init__(self):
+        for f in fields(self):
+            low = 0 if f.name in ("crop_row", "crop_col") else 1
+            if getattr(self, f.name) < low:
+                raise ValueError(f"{f.name} must be at least {low}, got {getattr(self, f.name)}")
         if self.height % self.patch or self.width % self.patch:
             raise ValueError(
                 f"frame size {self.height}x{self.width} not divisible by patch {self.patch}")

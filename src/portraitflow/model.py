@@ -15,15 +15,15 @@ reuses one bundle across many forwards projects them once
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .alignment import AudioVideoMap
 from .encoders import EncoderConfig
-from .motion import init_motion_params, motion_embed
-from .numerics import RngState, Tensor, attention, concat, layer_norm, linear, silu
+from .motion import INIT_SCALE, init_motion_params, motion_embed
+from .numerics import RngState, Tensor, attention, layer_norm, linear, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
 
@@ -48,6 +48,9 @@ class DiTConfig:
     mlp_ratio: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be at least 1, got {getattr(self, f.name)}")
         if self.width != self.heads * self.head_dim:
             raise ValueError(
                 f"width {self.width} != heads {self.heads} x head_dim {self.head_dim}")
@@ -130,8 +133,7 @@ class ConditioningBundle:
 # ----------------------------------------------------------------------
 # parameters
 
-def init_model_params(config: DiTConfig, rng: RngState,
-                      scale: float = 0.02) -> Dict[str, Tensor]:
+def init_model_params(config: DiTConfig, rng: RngState) -> Dict[str, Tensor]:
     """All trainable tensors, flat-named. Modulation heads, the output
     projection, cross-attention output projections and the motion
     expansion layer start at zero so the network begins as (almost) the
@@ -139,7 +141,7 @@ def init_model_params(config: DiTConfig, rng: RngState,
     c, ca, cm = config.width, config.audio_width, config.mlp_width
 
     def dense(name, shape):
-        return Tensor(rng.normal("model", name, size=shape) * scale, requires_grad=True)
+        return Tensor(rng.normal("model", name, size=shape) * INIT_SCALE, requires_grad=True)
 
     def zeros(shape):
         return Tensor(np.zeros(shape), requires_grad=True)
@@ -160,7 +162,7 @@ def init_model_params(config: DiTConfig, rng: RngState,
         "id.wv": dense("id.wv", (config.id_feat_width, c)), "id.wv_b": zeros(c),
         "id.wo": dense("id.wo", (c, c)), "id.wo_b": zeros(c),
     }
-    params.update(init_motion_params(c, rng, scale=scale))
+    params.update(init_motion_params(c, rng))
     for i in range(config.depth):
         b = f"block{i}."
         params[b + "mod.w"] = zeros((c, 6 * c))
@@ -308,7 +310,7 @@ def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
         raise ValueError(
             f"expected [B x {config.video_tokens} x c] video tokens, got {z_t.shape}")
 
-    x = concat([z_t, bundle.reference], axis=-1)
+    x = Tensor(np.concatenate([z_t.data, bundle.reference.data], axis=-1))
     x = linear(x, params["in_proj.w"], params["in_proj.b"])
     x = x + params["pos_video"]
 

@@ -49,15 +49,16 @@ def compute_coefficient(seq: np.ndarray, norm: MotionNorm) -> float:
 # conditioning network
 
 EXPANSION = 4  # length-axis expansion pooled back down to one vector
+INIT_SCALE = 0.02  # std of every random weight, here and in `init_model_params`
 
 
-def init_motion_params(width: int, rng: RngState, scale: float = 0.02,
+def init_motion_params(width: int, rng: RngState,
                        zero_final: bool = True) -> Dict[str, Tensor]:
     """Parameters for the conditioning network; the expansion layer is
     zero-initialized by default so the embedding starts at zero."""
 
     def dense(name, shape):
-        return Tensor(rng.normal("motion", name, size=shape) * scale, requires_grad=True)
+        return Tensor(rng.normal("motion", name, size=shape) * INIT_SCALE, requires_grad=True)
 
     def zeros(shape):
         return Tensor(np.zeros(shape), requires_grad=True)

@@ -4,14 +4,13 @@ from .functional import LAYER_NORM_EPS, attention, layer_norm, linear, silu, sof
 from .gradcheck import grad_check
 from .rng import RngState
 from .serialize import load_tensor, save_tensor
-from .tensor import Tensor, concat, no_grad, precision
+from .tensor import Tensor, no_grad, precision
 
 __all__ = [
     "LAYER_NORM_EPS",
     "RngState",
     "Tensor",
     "attention",
-    "concat",
     "grad_check",
     "layer_norm",
     "linear",

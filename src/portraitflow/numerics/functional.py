@@ -67,10 +67,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(out_data, (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Zero-variance rows normalize to zeros (the epsilon keeps the
+    Zero-variance rows normalize to zeros (`LAYER_NORM_EPS` keeps the
     denominator finite), so constant inputs map to `bias`.
     """
     x, gain, bias = Tensor._wrap(x), Tensor._wrap(gain), Tensor._wrap(bias)
@@ -80,7 +80,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not match normalized width {width}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     out_data = xhat * gain.data + bias.data
 

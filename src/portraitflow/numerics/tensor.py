@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -253,35 +253,18 @@ class Tensor:
     # ------------------------------------------------------------------
     # reductions
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
+        out_data = a.data.sum(axis=axis)
 
         def backward(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
         return self._result(out_data, (a,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def mean(self, axis=None) -> "Tensor":
         count = self.data.size if axis is None else np.prod(
             [self.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = [Tensor._wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-
-    def backward(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            t._accumulate(g[tuple(index)])
-            offset += size
-
-    return Tensor._result(out_data, tensors, backward)
-
+        return self.sum(axis=axis) * (1.0 / float(count))

@@ -124,6 +124,9 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
         raise ValueError(
             f"reference frame must be {(enc.height, enc.width, 3)}, "
             f"got {reference_frame.shape}")
+    for name, arr in (("reference frame", reference_frame), ("audio envelope", envelope)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} holds non-finite values")
 
     with no_grad():
         cond = _inference_bundle(state, reference_frame, envelope, cfg)

@@ -30,6 +30,7 @@ from .numerics import RngState, load_tensor, save_tensor
 HEAD_JITTER = 1.5     # px at facial coefficient 1
 TORSO_JITTER = 2.5    # px at body coefficient 1
 DRIFT_RATE = 0.9      # background phase per frame at body coefficient 1
+ENVELOPE_SMOOTH = 65  # Hann window length of the audio envelope, in samples
 
 
 @dataclass(frozen=True)
@@ -95,11 +96,10 @@ class Sample:
     spec: SceneSpec
 
 
-def band_limited_walk(gen: np.random.Generator, samples: int,
-                      smooth: int = 65) -> np.ndarray:
+def band_limited_walk(gen: np.random.Generator, samples: int) -> np.ndarray:
     """Random walk smoothed to a slowly varying envelope in [0.05, 0.95]."""
-    walk = np.cumsum(gen.standard_normal(samples + smooth))
-    kernel = np.hanning(smooth)
+    walk = np.cumsum(gen.standard_normal(samples + ENVELOPE_SMOOTH))
+    kernel = np.hanning(ENVELOPE_SMOOTH)
     kernel /= kernel.sum()
     sm = np.convolve(walk, kernel, mode="valid")[:samples]
     lo, hi = sm.min(), sm.max()

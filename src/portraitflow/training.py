@@ -331,13 +331,10 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
     v_pred = model_forward(z_t, t, bundle, state.params, state.dit)
     per_element = (v_pred - v_target).square()
 
-    masks = data.lip_masks[idx]
-    if stage == "frame":
-        loss, outcome = masked_gated_loss(per_element, masks.reshape(batch, -1), cfg.eta,
-                                          rng.stream("gate", step))
-    else:
-        loss = per_element.mean()
-        outcome = GateOutcome("full", float((masks > 0).mean()))
+    # eta = 1 gates the lip mask off, so the clip stage takes the plain mean
+    eta = cfg.eta if stage == "frame" else 1.0
+    loss, outcome = masked_gated_loss(per_element, data.lip_masks[idx].reshape(batch, -1),
+                                      eta, rng.stream("gate", step))
 
     loss_value = float(loss.data)
     if not math.isfinite(loss_value):
@@ -355,8 +352,7 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
 
 def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
                   train: TrainConfig, out_dir,
-                  state: Optional[TrainerState] = None,
-                  log_name: str = "loss_log.jsonl"
+                  state: Optional[TrainerState] = None
                   ) -> Tuple[TrainerState, List[LossReport], Dict[str, Path]]:
     """Run (or resume) the clip stage followed by the frame stage.
 
@@ -376,7 +372,7 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
 
     artifacts: Dict[str, Path] = {}
     reports: List[LossReport] = []
-    log_path = out_dir / log_name
+    log_path = out_dir / "loss_log.jsonl"
     earlier = []
     if log_path.exists():  # a line cut by a crash has no newline: dropped
         earlier = [line for line in log_path.read_text().splitlines(keepends=True)

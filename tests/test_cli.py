@@ -307,3 +307,55 @@ def test_gen_data_rejects_empty_sizes(capsys, tmp_path, flags, named):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line,field", [("enc.patch = 0", "patch"), ("dit.depth = -1", "depth")])
+def test_size_below_one_in_config_file_rejected(workspace, capsys, line, field):
+    # the parent died on ZeroDivisionError at patch 0 and trained a
+    # block-less model at depth -1
+    cfg = workspace / f"size_{field}.cfg"
+    cfg.write_text(f"train.steps_clip = 1\ntrain.steps_frame = 0\n{line}\n")
+    out = workspace / f"size_{field}_run"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--config", str(cfg), "--holdout", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "sample"])
+def test_zero_patch_in_checkpoint_header_rejected(workspace, capsys, tmp_path, command):
+    data = workspace / "data"
+    raw = (workspace / "run" / "checkpoint_final.pfck").read_bytes()
+    assert raw.count(b"enc.patch = 8\n") == 1
+    ckpt = tmp_path / "zero_patch.pfck"
+    ckpt.write_bytes(raw.replace(b"enc.patch = 8\n", b"enc.patch = 0\n"))
+    out = tmp_path / "out"
+    args = {"eval": ["--data", str(data), "--count", "1", "--steps", "1"],
+            "sample": ["--ref", str(data / "sample_00008" / "video.pft"),
+                       "--audio", str(data / "sample_00008" / "envelope.pft"),
+                       "--steps", "1"]}[command]
+    assert main([command, "--ckpt", str(ckpt), "--out", str(out), *args]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "patch" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,name,value", [("--audio", "envelope", np.nan),
+                                             ("--ref", "video", np.inf)])
+def test_non_finite_sampler_input_rejected(workspace, capsys, tmp_path, flag, name, value):
+    # the parent wrote an all-NaN video.pft and exited 0
+    data, run = workspace / "data", workspace / "run"
+    inputs = {"--ref": data / "sample_00008" / "video.pft",
+              "--audio": data / "sample_00008" / "envelope.pft"}
+    arr = load_tensor(inputs[flag]).copy()
+    arr.reshape(-1)[5] = value
+    inputs[flag] = tmp_path / f"{name}.pft"
+    save_tensor(inputs[flag], arr)
+    out = tmp_path / "out"
+    assert main(["sample", "--ckpt", str(run / "checkpoint_final.pfck"),
+                 "--ref", str(inputs["--ref"]), "--audio", str(inputs["--audio"]),
+                 "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+    assert not out.exists()

@@ -1,6 +1,10 @@
 """Objective, gated loss, dropout, optimizer, and the two-stage loop."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +385,41 @@ class TestTrainLoop:
         assert len(lines) == cfg.total_steps
         first = json.loads(lines[0])
         assert set(first) >= {"step", "stage", "loss", "branch", "coverage"}
+
+
+# Four seeded steps (two per stage) at the default model and batch 8, whose
+# GEMMs are large enough for OpenBLAS to split across threads; prints the
+# losses and a digest of the trained parameters.
+_THREAD_RUN = """
+import hashlib
+from portraitflow.encoders import EncoderConfig
+from portraitflow.model import DiTConfig
+from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
+from portraitflow.training import TrainConfig, init_trainer, prepare_training_tensors, train_step
+
+synth, enc = SynthConfig(), EncoderConfig()
+samples = [generate_sample(s, synth) for s in make_corpus_specs(8, 0, synth)]
+train = TrainConfig(steps_clip=2, steps_frame=2, batch_size=8, seed=5)
+state = init_trainer(DiTConfig.for_encoders(enc), enc, train, samples)
+data = prepare_training_tensors(samples, state.enc_params, enc)
+losses = [train_step(state, data, step).loss for step in range(train.total_steps)]
+digest = hashlib.sha256()
+for name in sorted(state.params):
+    digest.update(state.params[name].data.tobytes())
+print([loss.hex() for loss in losses], digest.hexdigest())
+"""
+
+
+def test_training_is_bit_identical_across_blas_thread_counts():
+    # a run is a pure function of (seed, config, dataset): the BLAS thread
+    # count, fixed when numpy loads, must not reach the losses or parameters
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
