@@ -124,9 +124,10 @@ class _ZeroRng:
 
 def _check_tensors(path, tensors: Dict[str, np.ndarray], dit, enc) -> None:
     """Raise ValueError naming the first tensor, in name order, that is
-    missing, not implied by the header's configs, or the wrong shape (a
-    wrong-shaped bias would otherwise broadcast silently). Adam moments
-    are optional, but come in (m, v) pairs shaped like their parameter."""
+    missing, not implied by the header's configs, the wrong shape (a
+    wrong-shaped bias would otherwise broadcast silently) or holds a NaN
+    or inf (which would turn every output NaN). Adam moments are
+    optional, but come in (m, v) pairs shaped like their parameter."""
     want = {f"model.{n}": p.shape for n, p in init_model_params(dit, _ZeroRng()).items()}
     want.update((f"enc.{n}", a.shape) for n, a in
                 init_encoder_params(enc, _ZeroRng()).named_arrays().items())
@@ -140,6 +141,8 @@ def _check_tensors(path, tensors: Dict[str, np.ndarray], dit, enc) -> None:
         if found != implied:
             raise ValueError(f"{Path(path).name}: tensor {name!r} has {found}, "
                              f"the header implies {implied}")
+        if not np.isfinite(tensors[name]).all():
+            raise ValueError(f"{Path(path).name}: tensor {name!r} holds NaN or inf")
 
 
 def load_checkpoint(path) -> TrainerState:

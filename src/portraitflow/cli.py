@@ -147,8 +147,8 @@ def cmd_eval(args) -> int:
     if args.lambda_identity is not None:
         state.dit = dataclasses.replace(state.dit, lambda_identity=args.lambda_identity)
     samples, _ = read_dataset(args.data)
-    if args.count > len(samples):
-        raise ValueError(f"eval count {args.count} > corpus size {len(samples)}")
+    if not 1 <= args.count <= len(samples):
+        raise ValueError(f"count {args.count} must lie in [1, corpus size {len(samples)}]")
     held_out = samples[len(samples) - args.count:]
     cfg = SampleConfig(steps=args.steps, cfg_scale=args.cfg_scale, seed=args.seed)
     report, rows = evaluate_model(state, held_out, cfg)

@@ -3,20 +3,24 @@
 All three work on ground-truth regions from the synthetic generator, so
 no pretrained detectors are involved: sync is the Pearson correlation of
 mouth-region brightness against the per-frame envelope, identity error is
-the mean cosine distance between frame embeddings and the reference
-embedding (the embedder crops each frame with the encoder's face box),
-and the dynamics pair is the mean absolute inter-frame pixel difference
-inside / outside the foreground mask.
+the mean cosine distance between each frame's identity tokens and the
+reference frame's (`sampling.identity_tokens`, the encoder the sampler
+conditions on), and the dynamics pair is the mean absolute inter-frame
+pixel difference inside / outside the foreground mask.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
+
+from . import sampling
+from .numerics import no_grad
+from .synthdata import per_frame_envelope
 
 
 @dataclass
@@ -119,38 +123,20 @@ def mask_bounding_box(mask: np.ndarray) -> Tuple[int, int, int, int]:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def identity_embedder(state) -> Callable[[np.ndarray], np.ndarray]:
-    """Frame -> flattened identity-token embedding of its face crop, using
-    the checkpoint's (frozen conv + trained query head) identity encoder."""
-    from .encoders import crop_face, identity_attend, identity_conv_features
-    from .numerics import Tensor, no_grad
-
-    def embed(frame: np.ndarray) -> np.ndarray:
-        feats = identity_conv_features(crop_face(frame, state.enc), state.enc_params,
-                                       state.enc)
-        with no_grad():
-            tokens = identity_attend(Tensor(feats), state.params)
-        return tokens.numpy().reshape(-1)
-
-    return embed
-
-
 def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, list]:
     """Generate one video per held-out sample (conditioned on its
     reference frame, envelope and recorded motion coefficients) and
     score it against the sample's ground truth."""
-    import dataclasses
+    def embed(frame: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return sampling.identity_tokens(frame, state).numpy().reshape(-1)
 
-    from .sampling import sample as run_sampler
-    from .synthdata import per_frame_envelope
-
-    embed = identity_embedder(state)
     rows = []
     for i, item in enumerate(samples):
-        cfg = dataclasses.replace(sample_cfg, omega_l=item.spec.omega_l,
-                                  omega_b=item.spec.omega_b, seed=sample_cfg.seed + i)
+        cfg = replace(sample_cfg, omega_l=item.spec.omega_l,
+                      omega_b=item.spec.omega_b, seed=sample_cfg.seed + i)
         reference = item.video[0]
-        video, info = run_sampler(reference, item.envelope, cfg, state)
+        video, info = sampling.sample(reference, item.envelope, cfg, state)
 
         drive = per_frame_envelope(item.envelope, video.frames)
         region = mask_bounding_box(item.lip_mask)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .alignment import AudioVideoMap
+from .alignment import AudioVideoMap, segment_audio
 from .encoders import EncoderConfig
 from .motion import INIT_SCALE, init_motion_params, motion_embed
 from .numerics import RngState, Tensor, attention, layer_norm, linear, silu
@@ -92,6 +92,7 @@ class ConditioningBundle:
     reference: [B x N x c_ref] (reference-frame latent repeated along f).
     The null embeddings are learned parameters, carried here so dropout
     and guidance can swap them in without reaching into the param dict.
+    Training and sampling both build it with `condition_bundle`.
 
     kv: each block's projected audio and identity keys and values, set
     only by `project_condition_kv`. It is not an init field, so `replace`
@@ -128,6 +129,21 @@ class ConditioningBundle:
             audio=self.audio * Tensor(keep[0]) + self.null_audio * Tensor(d[0]),
             identity=self.identity * Tensor(keep[1]) + self.null_identity * Tensor(d[1]),
             reference=self.reference * Tensor(keep[2]))
+
+
+def condition_bundle(params: Dict[str, Tensor], config: DiTConfig, latents: np.ndarray,
+                     audio: np.ndarray, identity: Tensor, motion, mode: str
+                     ) -> ConditioningBundle:
+    """The bundle of a batch, by the one rule training and sampling share.
+    The reference is the first h*w rows (frame 0) of each clip's `latents`
+    tiled over the f latent frames; audio maps to frames by
+    `segment_audio(l, f)`; the null embeddings are the model's parameters."""
+    hw = config.latent_h * config.latent_w
+    return ConditioningBundle(
+        audio=Tensor(audio), identity=identity, motion=Tensor(motion),
+        reference=Tensor(np.tile(latents[:, :hw], (1, config.latent_frames, 1))),
+        mode=mode, mapping=segment_audio(config.audio_tokens, config.latent_frames),
+        null_audio=params["null_audio"], null_identity=params["null_identity"])
 
 
 # ----------------------------------------------------------------------

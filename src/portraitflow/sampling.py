@@ -18,7 +18,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .alignment import segment_audio
 from .encoders import (
     PixelVideo,
     crop_face,
@@ -28,7 +27,7 @@ from .encoders import (
     patchify_video,
     unpatchify_video,
 )
-from .model import ConditioningBundle, model_forward, project_condition_kv
+from .model import ConditioningBundle, condition_bundle, model_forward, project_condition_kv
 from .numerics import RngState, Tensor, no_grad
 from .training import TrainerState
 
@@ -74,29 +73,22 @@ def integrate_flow(z1: np.ndarray, velocity_fn: Callable[[np.ndarray, float], np
     return z
 
 
+def identity_tokens(frame: np.ndarray, state: TrainerState) -> Tensor:
+    """[1 x n_id x c] tokens of one [H,W,3] frame's face crop: the frozen
+    conv features read by the trained query head. Eval embeds with it too."""
+    feats = identity_conv_features(crop_face(frame, state.enc), state.enc_params, state.enc)
+    return identity_attend(Tensor(feats[None]), state.params)
+
+
 def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
                       envelope: np.ndarray, cfg: SampleConfig) -> ConditioningBundle:
-    enc, params = state.enc, state.params
-    ref_video = PixelVideo(reference_frame[None].astype(np.float32))
-    hw = enc.latent_h * enc.latent_w
-    ref_tokens = np.tile(patchify_video(ref_video, state.enc_params, enc)[:hw],
-                         (enc.latent_frames, 1))[None]
-
-    audio = encode_audio(envelope, state.enc_params, enc)[None]
-    feats = identity_conv_features(crop_face(reference_frame, enc),
-                                   state.enc_params, enc)[None]
-    identity = identity_attend(Tensor(feats), params)
+    ref_tokens = patchify_video(PixelVideo(reference_frame[None]), state.enc_params, state.enc)
+    audio = encode_audio(envelope, state.enc_params, state.enc)
     # None: the stage of the last step the checkpoint trained
     mode = cfg.mode or state.train.stage_at(state.step - 1)
-    return ConditioningBundle(
-        audio=Tensor(audio),
-        identity=identity,
-        motion=Tensor([[cfg.omega_l, cfg.omega_b]]),
-        reference=Tensor(ref_tokens),
-        mode=mode,
-        mapping=segment_audio(state.dit.audio_tokens, state.dit.latent_frames),
-        null_audio=params["null_audio"],
-        null_identity=params["null_identity"])
+    return condition_bundle(state.params, state.dit, ref_tokens[None], audio[None],
+                            identity_tokens(reference_frame, state),
+                            [[cfg.omega_l, cfg.omega_b]], mode)
 
 
 def guidance_pair(cond: ConditioningBundle, drop_all_conditions: bool) -> ConditioningBundle:

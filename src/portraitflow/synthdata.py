@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -42,6 +42,9 @@ class SynthConfig:
     identities: int = 32
 
     def __post_init__(self):
+        for f in fields(self):
+            if type(getattr(self, f.name)) is not int:
+                raise TypeError(f"{f.name} must be an int, got {getattr(self, f.name)!r}")
         if min(self.frames, self.height, self.width, self.identities) < 1:
             raise ValueError(f"frames, height, width and identities must be at least "
                              f"1, got {self.frames}, {self.height}, {self.width}, "

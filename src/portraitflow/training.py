@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .alignment import project_mask_trilinear, segment_audio
+from .alignment import project_mask_trilinear
 from .encoders import (
     EncoderConfig,
     EncoderParams,
@@ -31,7 +31,8 @@ from .encoders import (
     init_encoder_params,
     patchify_video,
 )
-from .model import ConditioningBundle, DiTConfig, init_model_params, model_forward
+from .model import (ConditioningBundle, DiTConfig, condition_bundle, init_model_params,
+                    model_forward)
 from .motion import MotionNorm, raw_motion_variance
 from .numerics import RngState, Tensor
 
@@ -209,7 +210,7 @@ class Adam:
 @dataclass
 class TrainingTensors:
     """Precomputed frozen-encoder outputs for a sample list. No reference
-    latent is stored: `build_bundle` repeats frame 0 of `latents`."""
+    latent is stored: `condition_bundle` repeats frame 0 of `latents`."""
 
     latents: np.ndarray      # [n, N, c_lat]
     audio: np.ndarray        # [n, l, c_a]
@@ -292,22 +293,12 @@ def init_trainer(dit: DiTConfig, enc: EncoderConfig, train: TrainConfig,
 
 def build_bundle(state: TrainerState, data: TrainingTensors, idx: np.ndarray,
                  mode: str) -> ConditioningBundle:
-    """Assemble the conditioning bundle for a batch of sample indices;
-    identity tokens go through the trainable query head, and the reference
-    latent is each clip's frame-0 tokens repeated along f, as in sampling."""
-    params, dit = state.params, state.dit
-    id_tokens = identity_attend(Tensor(data.id_features[idx]), params)
-    mapping = segment_audio(dit.audio_tokens, dit.latent_frames)
-    hw = dit.latent_h * dit.latent_w
-    return ConditioningBundle(
-        audio=Tensor(data.audio[idx]),
-        identity=id_tokens,
-        motion=Tensor(data.omegas[idx]),
-        reference=Tensor(np.tile(data.latents[idx, :hw], (1, dit.latent_frames, 1))),
-        mode=mode,
-        mapping=mapping,
-        null_audio=params["null_audio"],
-        null_identity=params["null_identity"])
+    """`condition_bundle` for a batch of sample indices, as the sampler
+    calls it; the identity tokens carry the query head's gradient."""
+    return condition_bundle(
+        state.params, state.dit, data.latents[idx], data.audio[idx],
+        identity_attend(Tensor(data.id_features[idx]), state.params),
+        data.omegas[idx], mode)
 
 
 def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossReport:

@@ -16,11 +16,9 @@ from portraitflow.checkpoint import (
     save_checkpoint,
 )
 from portraitflow.cli import main
-from portraitflow.encoders import EncoderConfig
-from portraitflow.model import DiTConfig
 from portraitflow.numerics import Tensor, save_tensor
 from portraitflow.numerics.serialize import write_payload
-from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
+from portraitflow.synthdata import generate_sample, make_corpus_specs
 from portraitflow.training import (
     TrainConfig,
     init_trainer,
@@ -28,15 +26,7 @@ from portraitflow.training import (
     run_two_stage,
     train_step,
 )
-
-TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
-                         tokens_per_frame=2, samples_per_token=8,
-                         audio_width=8, crop_row=0, crop_col=0, crop_size=16,
-                         id_feat_width=8)
-TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
-                                  head_dim=8, n_id=2)
-TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4)
+from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
 
 
 @pytest.fixture(scope="module")
@@ -223,20 +213,27 @@ class TestMalformed:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", ["rename enc.audio_b", "rename model.id.wo_b",
-                                      "rename opt.v.pos_audio", "reshape model.in_proj.b"])
+                                      "rename opt.v.pos_audio", "reshape model.in_proj.b",
+                                      "nan model.out_proj.b", "inf opt.v.pos_audio"])
     def test_tensor_set_must_match_header(self, saved_bytes, tmp_path, capsys, edit):
         # a renamed tensor is reported missing under its old name; an Adam
-        # moment needs its partner; a [1 x c] bias would broadcast silently
+        # moment needs its partner; a [1 x c] bias would broadcast silently;
+        # one NaN or inf would make every sampled video NaN
         action, named = edit.split()
         path = tmp_path / "edited.pfck"
         path.write_bytes(saved_bytes)
         if action == "rename":
             assert saved_bytes.count(named.encode()) == 1
             path.write_bytes(saved_bytes.replace(named.encode(), named[:-1].encode() + b"z"))
-        else:
+        elif action == "reshape":
             state = load_checkpoint(path)
             state.params["in_proj.b"] = Tensor(state.params["in_proj.b"].data[None])
             save_checkpoint(path, state)
+        else:
+            _, tensors = read_checkpoint_raw(path)
+            tensors[named] = tensors[named].copy()
+            tensors[named].flat[0] = float(action)
+            path.write_bytes(_with_records(saved_bytes, sorted(tensors.items())))
         ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
         save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
         save_tensor(audio, np.zeros(TINY_ENC.audio_tokens * TINY_ENC.samples_per_token))

@@ -284,7 +284,11 @@ def test_tensor_file_with_trailing_bytes_rejected(workspace, capsys, tmp_path, f
     lambda manifest: manifest["samples"][-1].pop("seed"),
     lambda manifest: manifest["config"].update(gamma=1.0),
     lambda manifest: manifest.update(samples={"0": manifest["samples"][0]}),
-], ids=["no checksums", "no seed", "unknown config key", "samples as an object"])
+    lambda manifest: manifest["config"].update(frames=8.5),
+    lambda manifest: manifest["config"].update(height=32.0),
+    lambda manifest: manifest["config"].update(frames=True),
+], ids=["no checksums", "no seed", "unknown config key", "samples as an object",
+        "fractional frames", "float height", "boolean frames"])
 def test_malformed_manifest_fails_cleanly(workspace, capsys, tmp_path, edit):
     data = tmp_path / "data"
     shutil.copytree(workspace / "data", data)
@@ -295,6 +299,17 @@ def test_malformed_manifest_fails_cleanly(workspace, capsys, tmp_path, edit):
                  "--holdout", "3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "manifest" in err[0], err
+
+
+@pytest.mark.parametrize("count", ["0", "-2", "11"])
+def test_eval_count_outside_corpus_rejected(workspace, capsys, count):
+    out = workspace / f"eval_count_{count}"
+    assert main(["eval", "--ckpt", str(workspace / "run" / "checkpoint_final.pfck"),
+                 "--data", str(workspace / "data"), "--out", str(out), "--count", count,
+                 "--steps", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "count" in err[0], err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, named", [

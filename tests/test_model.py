@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from portraitflow.alignment import block_mask, segment_audio
-from portraitflow.encoders import EncoderConfig
 from portraitflow.model import (
     ConditioningBundle,
     DiTConfig,
+    condition_bundle,
     cross_attention_increments,
     dit_block,
     init_model_params,
@@ -19,13 +19,7 @@ from portraitflow.model import (
     timestep_embedding,
 )
 from portraitflow.numerics import RngState, Tensor, attention, grad_check
-
-TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
-                         tokens_per_frame=2, samples_per_token=8,
-                         audio_width=8, crop_row=0, crop_col=0, crop_size=16,
-                         id_feat_width=8)
-TINY = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2, head_dim=8,
-                              n_id=2)
+from tiny_configs import TINY_DIT as TINY
 
 
 def param_count(config: DiTConfig) -> int:
@@ -196,6 +190,27 @@ class TestConditioningBundle:
             for name in ("audio", "identity", "reference"):
                 assert np.array_equal(getattr(narrow, name).numpy(),
                                       getattr(full, name).numpy())
+
+    def test_condition_bundle_applies_the_shared_rules(self, tiny_params):
+        # the reference is frame 0's h*w token rows, tiled over the latent
+        # frames; the audio map and the null embeddings are not per caller
+        rng = np.random.default_rng(4)
+        hw = TINY.latent_h * TINY.latent_w
+        latents = rng.standard_normal((2, TINY.video_tokens, TINY.latent_width)
+                                      ).astype(np.float32)
+        audio = rng.standard_normal((2, TINY.audio_tokens, TINY.audio_width))
+        identity = Tensor(rng.standard_normal((2, TINY.n_id, TINY.width)))
+        motion = rng.random((2, 2))
+        bundle = condition_bundle(tiny_params, TINY, latents, audio, identity, motion,
+                                  "frame")
+        assert np.array_equal(bundle.reference.numpy(),
+                              np.concatenate([latents[:, :hw]] * TINY.latent_frames, axis=1))
+        assert bundle.mapping == segment_audio(TINY.audio_tokens, TINY.latent_frames)
+        assert bundle.null_audio is tiny_params["null_audio"]
+        assert bundle.null_identity is tiny_params["null_identity"]
+        assert bundle.identity is identity and bundle.mode == "frame"
+        assert np.array_equal(bundle.audio.numpy(), audio.astype(np.float32))
+        assert np.array_equal(bundle.motion.numpy(), motion.astype(np.float32))
 
 
 @pytest.fixture(scope="module")

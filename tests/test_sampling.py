@@ -7,10 +7,8 @@ import pytest
 
 from portraitflow import sampling
 from portraitflow.alignment import segment_audio
-from portraitflow.encoders import EncoderConfig
 from portraitflow.model import (
     ConditioningBundle,
-    DiTConfig,
     model_forward,
     project_condition_kv,
 )
@@ -22,7 +20,7 @@ from portraitflow.sampling import (
     integrate_flow,
     sample,
 )
-from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
+from portraitflow.synthdata import generate_sample, make_corpus_specs
 from portraitflow.training import (
     TrainConfig,
     build_bundle,
@@ -30,15 +28,7 @@ from portraitflow.training import (
     prepare_training_tensors,
     train_step,
 )
-
-TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
-                         tokens_per_frame=2, samples_per_token=8,
-                         audio_width=8, crop_row=0, crop_col=0, crop_size=16,
-                         id_feat_width=8)
-TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
-                                  head_dim=8, n_id=2)
-TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4)
+from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +120,17 @@ def test_training_reference_is_the_sampler_reference(tiny_state):
     for i, clip in enumerate(samples):
         cond = sampling._inference_bundle(state, clip.video[0], clip.envelope, SampleConfig())
         assert np.array_equal(derived[i], cond.reference.numpy()[0]), i
+
+
+def test_sampler_identity_tokens_are_the_training_identity_tokens(tiny_state):
+    # the sampler (and eval) encode a frame's identity as training does
+    state, samples = tiny_state
+    data = prepare_training_tensors(samples, state.enc_params, TINY_ENC)
+    for i, clip in enumerate(samples):
+        tokens = sampling.identity_tokens(clip.video[0], state).numpy()
+        assert tokens.shape == (1, TINY_DIT.n_id, TINY_DIT.width)
+        trained = build_bundle(state, data, [i], "frame").identity.numpy()
+        assert np.array_equal(tokens, trained), i
 
 
 def random_bundle(state, mode, seed=0):

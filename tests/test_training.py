@@ -11,16 +11,15 @@ import pytest
 
 from portraitflow.alignment import segment_audio
 from portraitflow.encoders import (
-    EncoderConfig,
     PixelVideo,
     crop_face,
     encode_audio,
     identity_conv_features,
     patchify_video,
 )
-from portraitflow.model import ConditioningBundle, DiTConfig, init_model_params
+from portraitflow.model import ConditioningBundle, init_model_params
 from portraitflow.numerics import RngState, Tensor
-from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
+from portraitflow.synthdata import generate_sample, make_corpus_specs
 from portraitflow.training import (
     Adam,
     TrainConfig,
@@ -32,15 +31,7 @@ from portraitflow.training import (
     run_two_stage,
     train_step,
 )
-
-TINY_ENC = EncoderConfig(frames=4, height=16, width=16, patch=8,
-                         tokens_per_frame=2, samples_per_token=8,
-                         audio_width=8, crop_row=0, crop_col=0, crop_size=16,
-                         id_feat_width=8)
-TINY_DIT = DiTConfig.for_encoders(TINY_ENC, depth=2, width=16, heads=2,
-                                  head_dim=8, n_id=2)
-TINY_SYNTH = SynthConfig(frames=4, height=16, width=16, envelope_samples=64,
-                         identities=4)
+from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
 
 
 @pytest.fixture(scope="module")
