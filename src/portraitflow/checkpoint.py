@@ -101,6 +101,9 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
         missing = sorted(set(_HEADER_KEYS) - set(flat))
         if missing:
             raise ValueError(f"{Path(path).name}: header lacks {', '.join(missing)}")
+        for key in ("state.step", "state.adam_count"):
+            if flat[key] < 0:
+                raise ValueError(f"{Path(path).name}: {key} {flat[key]} is negative")
         count = struct.unpack("<I", _read_exact(fh, 4, end))[0]
         tensors = {}
         for _ in range(count):

@@ -18,8 +18,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, read_checkpoint_raw, save_checkpoint
+from .checkpoint import load_checkpoint, read_checkpoint_raw
 from .config import configs_to_flat, flat_to_configs, parse_flat
+from .encoders import EncoderConfig
 from .evalmetrics import evaluate_model, write_report
 from .numerics import load_tensor, save_tensor
 from .sampling import SampleConfig, sample
@@ -50,6 +51,17 @@ def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
         if value is not None:
             out[key] = value
     return out
+
+
+def _check_corpus(synth: SynthConfig, enc: EncoderConfig) -> None:
+    """Reject a corpus whose clips the encoders would read only in part:
+    its frames and frame size must be the encoder's, and its envelopes as
+    long as the encoder's audio tokens cover."""
+    have = (synth.frames, synth.height, synth.width, synth.envelope_samples)
+    want = (enc.frames, enc.height, enc.width, enc.audio_tokens * enc.samples_per_token)
+    if have != want:
+        raise ValueError(f"corpus (frames, height, width, envelope_samples) {have} "
+                         f"does not match the encoder config's {want}")
 
 
 # ----------------------------------------------------------------------
@@ -88,6 +100,7 @@ def cmd_train(args) -> int:
     flat.setdefault("enc.height", synth.height)
     flat.setdefault("enc.width", synth.width)
     dit, enc, train = flat_to_configs(flat)
+    _check_corpus(synth, enc)
 
     holdout = args.holdout
     if not 0 <= holdout < len(samples):
@@ -146,7 +159,8 @@ def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
     if args.lambda_identity is not None:
         state.dit = dataclasses.replace(state.dit, lambda_identity=args.lambda_identity)
-    samples, _ = read_dataset(args.data)
+    samples, synth = read_dataset(args.data)
+    _check_corpus(synth, state.enc)
     if not 1 <= args.count <= len(samples):
         raise ValueError(f"count {args.count} must lie in [1, corpus size {len(samples)}]")
     held_out = samples[len(samples) - args.count:]

@@ -6,17 +6,14 @@ additive audio cross-attention increment weighted lambda_audio and an
 identity cross-attention increment weighted lambda_identity, both using
 the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
-and only each frame's own audio segment in "frame" mode. The audio and
-identity keys/values depend only on the conditions, so a caller that
-reuses one bundle across many forwards projects them once
-(`project_condition_kv`).
+and only each frame's own audio segment in "frame" mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -81,9 +78,6 @@ class DiTConfig:
         return replace(base, **overrides) if overrides else base
 
 
-ConditionKV = Tuple[Tensor, Tensor, Tensor, Tensor]
-
-
 @dataclass(frozen=True)
 class ConditioningBundle:
     """Everything the backbone is conditioned on, batch-shaped.
@@ -93,11 +87,6 @@ class ConditioningBundle:
     The null embeddings are learned parameters, carried here so dropout
     and guidance can swap them in without reaching into the param dict.
     Training and sampling both build it with `condition_bundle`.
-
-    kv: each block's projected audio and identity keys and values, set
-    only by `project_condition_kv`. It is not an init field, so `replace`
-    and `drop` return bundles without it: a changed condition is always
-    projected afresh.
     """
 
     audio: Tensor
@@ -108,12 +97,12 @@ class ConditioningBundle:
     mapping: AudioVideoMap
     null_audio: Tensor
     null_identity: Tensor
-    kv: Optional[Tuple[ConditionKV, ...]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("clip", "frame"):
             raise ValueError(f"unknown audio scoping mode {self.mode!r}")
+        if self.mode == "frame" and not self.mapping.is_uniform():
+            raise ValueError("frame mode requires equal-length audio segments")
 
     def drop(self, drop: np.ndarray) -> "ConditioningBundle":
         """The bundle with each condition dropped where `drop` is set:
@@ -239,36 +228,6 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
             for i in range(config.depth)]
 
 
-def condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
-                 config: DiTConfig, index: int) -> ConditionKV:
-    """Block `index`'s projected audio keys and values, then identity keys
-    and values. They depend only on the conditions and the parameters:
-    read from `bundle.kv` once `project_condition_kv` has filled it,
-    computed here otherwise."""
-    if bundle.kv is not None:
-        return bundle.kv[index]
-    b = f"block{index}."
-    audio = bundle.audio + params["pos_audio"]
-    ak = linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"])
-    av = linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"])
-    ident = bundle.identity
-    ik = linear(ident, params[b + "xid.wk"], params[b + "xid.wk_b"])
-    iv = linear(ident, params[b + "xid.wv"], params[b + "xid.wv_b"])
-    return ak, av, ik, iv
-
-
-def project_condition_kv(bundle: ConditioningBundle, params: Dict[str, Tensor],
-                         config: DiTConfig) -> ConditioningBundle:
-    """`bundle` with every block's condition keys and values projected
-    once, for a caller that runs many forwards on one bundle with fixed
-    `params`, as the sampler does. Exact: each forward reads back the
-    tensors it would otherwise compute."""
-    kv = tuple(condition_kv(bundle, params, config, i) for i in range(config.depth))
-    projected = replace(bundle)
-    object.__setattr__(projected, "kv", kv)
-    return projected
-
-
 def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
                                params: Dict[str, Tensor], config: DiTConfig,
                                index: int) -> Tuple[Tensor, Tensor]:
@@ -280,9 +239,11 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     b = f"block{index}."
     heads = config.heads
     q = linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"])
-    ak, av, ik, iv = condition_kv(bundle, params, config, index)
-    if bundle.mode == "frame" and not bundle.mapping.is_uniform():
-        raise ValueError("frame mode requires equal-length audio segments")
+    audio = bundle.audio + params["pos_audio"]
+    ak = linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"])
+    av = linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"])
+    ik = linear(bundle.identity, params[b + "xid.wk"], params[b + "xid.wk_b"])
+    iv = linear(bundle.identity, params[b + "xid.wv"], params[b + "xid.wv_b"])
     blocks = bundle.mapping.frames if bundle.mode == "frame" else 1
     att = attention(q, ak, av, heads=heads, blocks=blocks)
     audio_inc = linear(att, params[b + "xa.wo"], params[b + "xa.wo_b"])

@@ -6,8 +6,7 @@ conditional velocity and one computed with the audio condition dropped
 by training's rule, `ConditioningBundle.drop` (identity and reference
 are dropped too when `drop_all_conditions` is set; motion is kept).
 Both velocities come from one B=2 forward per step, row 0 conditional
-and row 1 unconditional, and the condition keys/values of that pair are
-projected once per sample, not once per step.
+and row 1 unconditional.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .encoders import (
     patchify_video,
     unpatchify_video,
 )
-from .model import ConditioningBundle, condition_bundle, model_forward, project_condition_kv
+from .model import ConditioningBundle, condition_bundle, model_forward
 from .numerics import RngState, Tensor, no_grad
 from .training import TrainerState
 
@@ -122,8 +121,7 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
 
     with no_grad():
         cond = _inference_bundle(state, reference_frame, envelope, cfg)
-        pair = project_condition_kv(guidance_pair(cond, cfg.drop_all_conditions),
-                                    state.params, dit)
+        pair = guidance_pair(cond, cfg.drop_all_conditions)
 
         rng = RngState(cfg.seed)
         z = rng.normal("init", size=(1, dit.video_tokens, dit.latent_width)

@@ -22,7 +22,6 @@ from portraitflow.model import (
     cross_attention_increments,
     init_model_params,
     model_forward,
-    timestep_embedding,
 )
 from portraitflow.motion import init_motion_params, motion_embed
 from portraitflow.numerics import (

@@ -200,6 +200,17 @@ class TestMalformed:
             line for line in h.splitlines(True) if not line.startswith("state.step"))))
         _inspect_fails_cleanly(path, capsys)
 
+    @pytest.mark.parametrize("key", ["state.step", "state.adam_count"])
+    def test_negative_step_counter_rejected(self, saved_bytes, tmp_path, capsys, key):
+        # unchecked, step -7 loads and `sample` takes its mode from stage_at(-8)
+        path = tmp_path / "negative.pfck"
+        path.write_bytes(_with_header(saved_bytes, lambda h: "".join(
+            f"{key} = -7\n" if line.startswith(key + " ") else line
+            for line in h.splitlines(True))))
+        assert main(["inspect", "--ckpt", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0], err
+
     @pytest.mark.parametrize("line", ["train.lr = -0.5", "train.batch_size = 0",
                                       "train.steps_frame = -1"])
     def test_impossible_training_value_in_header_rejected(self, saved_bytes, tmp_path,

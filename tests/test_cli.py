@@ -374,3 +374,33 @@ def test_non_finite_sampler_input_rejected(workspace, capsys, tmp_path, flag, na
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
     assert not out.exists()
+
+
+def test_eval_corpus_must_match_the_checkpoint_encoder(workspace, capsys, tmp_path):
+    # unchecked, an 8-frame model samples from the first half of each
+    # 16-frame envelope while sync is scored against all of it
+    data = tmp_path / "data16"
+    assert main(["gen-data", "--out", str(data), "--count", "2", "--identities", "2",
+                 "--frames", "16"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["eval", "--ckpt", str(workspace / "run" / "checkpoint_final.pfck"),
+                 "--data", str(data), "--out", str(out), "--count", "1",
+                 "--steps", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "corpus" in err[0], err
+    assert not out.exists()
+
+
+def test_train_corpus_must_match_the_config_encoder(workspace, capsys):
+    # unchecked, 32 samples per token would cover only the first half of
+    # each clip's envelope
+    cfg = workspace / "short_tokens.cfg"
+    cfg.write_text("train.steps_clip = 1\ntrain.steps_frame = 0\nenc.samples_per_token = 32\n")
+    out = workspace / "short_tokens_run"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--config", str(cfg), "--holdout", "3", "--depth", "1",
+                 "--width", "16"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "envelope_samples" in err[0], err
+    assert not out.exists()

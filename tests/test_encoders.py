@@ -5,7 +5,6 @@ import pytest
 
 from portraitflow.encoders import (
     EncoderConfig,
-    EncoderParams,
     PixelVideo,
     audio_window_features,
     crop_face,

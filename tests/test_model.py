@@ -14,7 +14,6 @@ from portraitflow.model import (
     dit_block,
     init_model_params,
     model_forward,
-    project_condition_kv,
     sinusoidal_features,
     timestep_embedding,
 )
@@ -212,43 +211,21 @@ class TestConditioningBundle:
         assert np.array_equal(bundle.audio.numpy(), audio.astype(np.float32))
         assert np.array_equal(bundle.motion.numpy(), motion.astype(np.float32))
 
-
-@pytest.fixture(scope="module")
-def live_params():
-    """Every parameter drawn at random, zero-initialized heads included."""
-    rng = np.random.default_rng(10)
-    return {name: Tensor(rng.standard_normal(p.shape) * 0.1)
-            for name, p in init_model_params(TINY, RngState(1)).items()}
-
-
-class TestConditionKV:
-    @pytest.mark.parametrize("mode", ["clip", "frame"])
-    def test_projected_forward_is_bit_identical(self, live_params, mode):
-        params = live_params
-        bundle = make_bundle(TINY, params, seed=6, mode=mode)
-        z = Tensor(np.random.default_rng(7).standard_normal(
-            (2, TINY.video_tokens, TINY.latent_width)))
-        projected = project_condition_kv(bundle, params, TINY)
-        assert bundle.kv is None and len(projected.kv) == TINY.depth
-        want = model_forward(z, 0.4, bundle, params, TINY).numpy()
-        assert np.array_equal(model_forward(z, 0.4, projected, params, TINY).numpy(), want)
-
-    def test_drop_and_replace_discard_projected_kv(self, live_params):
-        params = live_params
-        projected = project_condition_kv(make_bundle(TINY, params, seed=8), params, TINY)
-        z = Tensor(np.random.default_rng(9).standard_normal(
-            (2, TINY.video_tokens, TINY.latent_width)))
-        stale = model_forward(z, 0.5, projected, params, TINY).numpy()
-        changed = (projected.drop(np.array([[True], [True], [False]])),
-                   dataclasses.replace(projected, audio=projected.audio * 2.0))
-        for bundle in changed:
-            assert bundle.kv is None
-            got = model_forward(z, 0.5, bundle, params, TINY).numpy()
-            fresh = dataclasses.replace(bundle)  # the same conditions, never projected
-            assert np.array_equal(got, model_forward(z, 0.5, fresh, params, TINY).numpy())
-            assert not np.allclose(got, stale)
+    def test_bundle_is_a_frozen_value_of_its_init_fields(self, tiny_params):
+        bundle = make_bundle(TINY, tiny_params)
+        assert [f.name for f in dataclasses.fields(ConditioningBundle)] == [
+            "audio", "identity", "motion", "reference", "mode", "mapping",
+            "null_audio", "null_identity"]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            projected.audio = projected.null_audio
+            bundle.audio = bundle.null_audio
+
+    def test_frame_mode_needs_equal_length_segments(self, tiny_params):
+        # segments of 3, 2, 3 and 2 tokens cannot be one attention block per frame
+        bundle = make_bundle(TINY, tiny_params)
+        uneven = segment_audio(10, 4)
+        with pytest.raises(ValueError, match="equal-length"):
+            dataclasses.replace(bundle, mode="frame", mapping=uneven)
+        assert dataclasses.replace(bundle, mode="clip", mapping=uneven).mapping == uneven
 
 
 class TestModelForward:

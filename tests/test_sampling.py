@@ -7,11 +7,7 @@ import pytest
 
 from portraitflow import sampling
 from portraitflow.alignment import segment_audio
-from portraitflow.model import (
-    ConditioningBundle,
-    model_forward,
-    project_condition_kv,
-)
+from portraitflow.model import ConditioningBundle, model_forward
 from portraitflow.numerics import Tensor, no_grad
 from portraitflow.sampling import (
     SampleConfig,
@@ -159,7 +155,7 @@ class TestGuidancePair:
         z = np.random.default_rng(5).standard_normal(
             (1, dit.video_tokens, dit.latent_width)).astype(np.float32)
         with no_grad():
-            pair = project_condition_kv(guidance_pair(cond, drop_all), params, dit)
+            pair = guidance_pair(cond, drop_all)
             rows = model_forward(Tensor(np.repeat(z, 2, axis=0)), 0.6, pair, params, dit).numpy()
             for row, bundle in zip(rows, (cond, uncond)):
                 want = model_forward(Tensor(z), 0.6, bundle, params, dit).numpy()[0]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from portraitflow.encoders import EncoderConfig, crop_face
-from portraitflow.motion import MotionNorm, compute_coefficient, raw_motion_variance
+from portraitflow.motion import raw_motion_variance
 from portraitflow.synthdata import (
     SceneSpec,
     SynthConfig,

@@ -1,6 +1,5 @@
 """Objective, gated loss, dropout, optimizer, and the two-stage loop."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from portraitflow.encoders import (
     identity_conv_features,
     patchify_video,
 )
-from portraitflow.model import ConditioningBundle, init_model_params
+from portraitflow.model import ConditioningBundle
 from portraitflow.numerics import RngState, Tensor
 from portraitflow.synthdata import generate_sample, make_corpus_specs
 from portraitflow.training import (
