@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import os
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .config import configs_to_flat, dump_flat, flat_to_configs, parse_flat
-from .encoders import EncoderParams, init_encoder_params
-from .model import init_model_params
-from .motion import MotionNorm
+from .encoders import EncoderParams, encoder_param_shapes
+from .model import param_shapes
+from .motion import MotionNorm, motion_param_shapes
 from .numerics import Tensor
 from .numerics.serialize import _file_end, _read_exact, read_payload, write_payload
 from .training import Adam, TrainerState
@@ -118,34 +119,35 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
     return flat, tensors
 
 
-class _ZeroRng:
-    """RngState stand-in that builds parameters only to read their shapes."""
-
-    def normal(self, *tags, size=None):
-        return np.zeros(size)
-
-
 def _check_tensors(path, tensors: Dict[str, np.ndarray], dit, enc) -> None:
-    """Raise ValueError naming the first tensor, in name order, that is
-    missing, not implied by the header's configs, the wrong shape (a
-    wrong-shaped bias would otherwise broadcast silently) or holds a NaN
-    or inf (which would turn every output NaN). Adam moments are
-    optional, but come in (m, v) pairs shaped like their parameter."""
-    want = {f"model.{n}": p.shape for n, p in init_model_params(dit, _ZeroRng()).items()}
-    want.update((f"enc.{n}", a.shape) for n, a in
-                init_encoder_params(enc, _ZeroRng()).named_arrays().items())
-    for name in tensors:
-        param = name[len("opt.m."):]
-        if name.startswith(("opt.m.", "opt.v.")) and f"model.{param}" in want:
-            want[f"opt.m.{param}"] = want[f"opt.v.{param}"] = want[f"model.{param}"]
-    for name in sorted(set(want) | set(tensors)):
-        found = f"shape {tensors[name].shape}" if name in tensors else "no such tensor"
-        implied = f"shape {want[name]}" if name in want else "no such tensor"
-        if found != implied:
+    """Raise ValueError naming the first header-implied tensor that is
+    missing, the wrong shape (a wrong-shaped bias would otherwise broadcast
+    silently) or holds a NaN or inf (which would turn every output NaN),
+    then any tensor the header does not imply. Adam moments are optional,
+    but come in (m, v) pairs shaped like their parameter. Shapes are derived
+    one at a time, so a header naming a model larger than its file fails at
+    its first missing tensor and allocates nothing."""
+    def check(name, shape):
+        if name not in tensors or tensors[name].shape != shape:
+            found = f"shape {tensors[name].shape}" if name in tensors else "no such tensor"
             raise ValueError(f"{Path(path).name}: tensor {name!r} has {found}, "
-                             f"the header implies {implied}")
+                             f"the header implies shape {shape}")
         if not np.isfinite(tensors[name]).all():
             raise ValueError(f"{Path(path).name}: tensor {name!r} holds NaN or inf")
+        implied.add(name)
+
+    implied = set()
+    for name, shape in chain(param_shapes(dit), motion_param_shapes(dit.width)):
+        check(f"model.{name}", shape)
+        if f"opt.m.{name}" in tensors or f"opt.v.{name}" in tensors:
+            check(f"opt.m.{name}", shape)
+            check(f"opt.v.{name}", shape)
+    for name, shape in encoder_param_shapes(enc):
+        check(f"enc.{name}", shape)
+    extra = sorted(set(tensors) - implied)
+    if extra:
+        raise ValueError(f"{Path(path).name}: tensor {extra[0]!r} has shape "
+                         f"{tensors[extra[0]].shape}, the header implies no such tensor")
 
 
 def load_checkpoint(path) -> TrainerState:

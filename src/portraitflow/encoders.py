@@ -11,7 +11,7 @@ end-to-end with everything else).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -110,24 +110,29 @@ class EncoderParams:
         }
 
 
+def encoder_param_shapes(config: EncoderConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of each frozen encoder array, derived one at a time."""
+    d, ch1 = config.patch_dim, config.id_channels
+    yield from (("patch_w", (d, d)), ("patch_b", (d,)), ("unpatch_w", (d, d)),
+                ("audio_w", (3, config.audio_width)), ("audio_b", (config.audio_width,)),
+                ("conv1_w", (ch1, 3, 3, 3)), ("conv2_w", (config.id_feat_width, ch1, 3, 3)))
+
+
 def init_encoder_params(config: EncoderConfig, rng: RngState) -> EncoderParams:
-    """Identity patch embedding (lossless round trip) plus seeded frozen
-    audio projection and conv filters."""
-    d = config.patch_dim
-    audio_w = rng.normal("enc", "audio_w", size=(3, config.audio_width)) / np.sqrt(3.0)
-    conv1_w = rng.normal("enc", "conv1_w", size=(config.id_channels, 3, 3, 3)) / np.sqrt(27.0)
-    conv2_w = rng.normal("enc", "conv2_w",
-                         size=(config.id_feat_width, config.id_channels, 3, 3))
-    conv2_w /= np.sqrt(9.0 * config.id_channels)
-    return EncoderParams(
-        patch_w=np.eye(d, dtype=np.float32),
-        patch_b=np.zeros(d, dtype=np.float32),
-        unpatch_w=np.eye(d, dtype=np.float32),
-        audio_w=audio_w.astype(np.float32),
-        audio_b=np.zeros(config.audio_width, dtype=np.float32),
-        conv1_w=conv1_w.astype(np.float32),
-        conv2_w=conv2_w.astype(np.float32),
-    )
+    """Identity patch embedding (lossless round trip), zero biases, and
+    seeded frozen audio projection and conv filters scaled by
+    1/sqrt(fan-in)."""
+    def init(name, shape):
+        if name.endswith("_b"):
+            return np.zeros(shape)
+        if name in ("patch_w", "unpatch_w"):
+            return np.eye(shape[0])
+        # audio_w is [in x out]; a conv filter is [out x in x 3 x 3]
+        fan_in = shape[0] if name == "audio_w" else np.prod(shape[1:])
+        return rng.normal("enc", name, size=shape) / np.sqrt(float(fan_in))
+
+    return EncoderParams(**{name: init(name, shape).astype(np.float32)
+                            for name, shape in encoder_param_shapes(config)})
 
 
 # ----------------------------------------------------------------------

@@ -7,19 +7,25 @@ identity cross-attention increment weighted lambda_identity, both using
 the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
 and only each frame's own audio segment in "frame" mode.
+
+Each tensor's name and shape is written once, in `param_shapes`. One init
+rule (`motion.init_params`): each bias, `ZERO_INIT` head and `motion.expand.w`
+starts at zero, so the network begins as (almost) the identity map with zero
+velocity; every other tensor is `rng.normal(tag, name) * INIT_SCALE`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
 from .alignment import AudioVideoMap, segment_audio
 from .encoders import EncoderConfig
-from .motion import INIT_SCALE, init_motion_params, motion_embed
+from .motion import init_motion_params, init_params, motion_embed
 from .numerics import RngState, Tensor, attention, layer_norm, linear, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
@@ -138,62 +144,34 @@ def condition_bundle(params: Dict[str, Tensor], config: DiTConfig, latents: np.n
 # ----------------------------------------------------------------------
 # parameters
 
-def init_model_params(config: DiTConfig, rng: RngState) -> Dict[str, Tensor]:
-    """All trainable tensors, flat-named. Modulation heads, the output
-    projection, cross-attention output projections and the motion
-    expansion layer start at zero so the network begins as (almost) the
-    identity map with zero velocity output."""
+ZERO_INIT = ("out_proj.w", "mod.w", "xa.wo", "xid.wo")  # heads that start at zero
+
+
+def param_shapes(config: DiTConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of each of the DiT's own tensors, derived one at a time
+    (the motion network's are `motion_param_shapes`). A linear layer is a
+    [fan-in x fan-out] weight and a bias: `x.w` has `x.b`, `x.wk` has `x.wk_b`."""
     c, ca, cm = config.width, config.audio_width, config.mlp_width
+    yield from (("pos_video", (config.video_tokens, c)), ("pos_audio", (config.audio_tokens, ca)),
+                ("null_audio", (1, ca)), ("null_identity", (1, c)), ("id.queries", (config.n_id, c)))
+    top = (("in_proj.w", config.latent_width + config.ref_channels, c), ("t_mlp1.w", c, c),
+           ("t_mlp2.w", c, c), ("out_proj.w", c, config.latent_width),
+           ("id.wk", config.id_feat_width, c), ("id.wv", config.id_feat_width, c), ("id.wo", c, c))
+    block = (("mod.w", c, 6 * c), ("attn.wq", c, c), ("attn.wk", c, c), ("attn.wv", c, c),
+             ("attn.wo", c, c), ("xa.wk", ca, c), ("xa.wv", ca, c), ("xa.wo", c, c),
+             ("xid.wk", c, c), ("xid.wv", c, c), ("xid.wo", c, c), ("mlp1.w", c, cm),
+             ("mlp2.w", cm, c))
+    for w, fan_in, fan_out in chain(top, ((f"block{i}.{w}", fan_in, fan_out)
+                                          for i in range(config.depth)
+                                          for w, fan_in, fan_out in block)):
+        yield w, (fan_in, fan_out)
+        yield (w[:-1] + "b" if w.endswith(".w") else w + "_b"), (fan_out,)
 
-    def dense(name, shape):
-        return Tensor(rng.normal("model", name, size=shape) * INIT_SCALE, requires_grad=True)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params: Dict[str, Tensor] = {
-        "in_proj.w": dense("in_proj.w", (config.latent_width + config.ref_channels, c)),
-        "in_proj.b": zeros(c),
-        "pos_video": dense("pos_video", (config.video_tokens, c)),
-        "pos_audio": dense("pos_audio", (config.audio_tokens, ca)),
-        "null_audio": dense("null_audio", (1, ca)),
-        "null_identity": dense("null_identity", (1, c)),
-        "t_mlp1.w": dense("t_mlp1.w", (c, c)), "t_mlp1.b": zeros(c),
-        "t_mlp2.w": dense("t_mlp2.w", (c, c)), "t_mlp2.b": zeros(c),
-        "out_proj.w": zeros((c, config.latent_width)),
-        "out_proj.b": zeros(config.latent_width),
-        "id.queries": dense("id.queries", (config.n_id, c)),
-        "id.wk": dense("id.wk", (config.id_feat_width, c)), "id.wk_b": zeros(c),
-        "id.wv": dense("id.wv", (config.id_feat_width, c)), "id.wv_b": zeros(c),
-        "id.wo": dense("id.wo", (c, c)), "id.wo_b": zeros(c),
-    }
-    params.update(init_motion_params(c, rng))
-    for i in range(config.depth):
-        b = f"block{i}."
-        params[b + "mod.w"] = zeros((c, 6 * c))
-        params[b + "mod.b"] = zeros(6 * c)
-        for proj in ("wq", "wk", "wv"):
-            params[b + f"attn.{proj}"] = dense(b + f"attn.{proj}", (c, c))
-            params[b + f"attn.{proj}_b"] = zeros(c)
-        params[b + "attn.wo"] = dense(b + "attn.wo", (c, c))
-        params[b + "attn.wo_b"] = zeros(c)
-        params[b + "xa.wk"] = dense(b + "xa.wk", (ca, c))
-        params[b + "xa.wk_b"] = zeros(c)
-        params[b + "xa.wv"] = dense(b + "xa.wv", (ca, c))
-        params[b + "xa.wv_b"] = zeros(c)
-        params[b + "xa.wo"] = zeros((c, c))
-        params[b + "xa.wo_b"] = zeros(c)
-        params[b + "xid.wk"] = dense(b + "xid.wk", (c, c))
-        params[b + "xid.wk_b"] = zeros(c)
-        params[b + "xid.wv"] = dense(b + "xid.wv", (c, c))
-        params[b + "xid.wv_b"] = zeros(c)
-        params[b + "xid.wo"] = zeros((c, c))
-        params[b + "xid.wo_b"] = zeros(c)
-        params[b + "mlp1.w"] = dense(b + "mlp1.w", (c, cm))
-        params[b + "mlp1.b"] = zeros(cm)
-        params[b + "mlp2.w"] = dense(b + "mlp2.w", (cm, c))
-        params[b + "mlp2.b"] = zeros(c)
-    return params
+def init_model_params(config: DiTConfig, rng: RngState) -> Dict[str, Tensor]:
+    """All trainable tensors, flat-named, by the module docstring's init rule."""
+    return {**init_params(param_shapes(config), rng, "model", ZERO_INIT),
+            **init_motion_params(config.width, rng)}
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ added onto the timestep embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -49,34 +49,35 @@ def compute_coefficient(seq: np.ndarray, norm: MotionNorm) -> float:
 # conditioning network
 
 EXPANSION = 4  # length-axis expansion pooled back down to one vector
-INIT_SCALE = 0.02  # std of every random weight, here and in `init_model_params`
+INIT_SCALE = 0.02  # std of every random weight `init_params` draws
+
+
+def motion_param_shapes(width: int) -> Iterator[Tuple[str, Tuple[int, ...]]]:
+    """(name, shape) of each conditioning-network tensor, in layer order."""
+    for layer, fan_in, fan_out in (("mlp1", 2, width), ("mlp2", width, width),
+                                   ("res1", width, width), ("res2", width, width),
+                                   ("expand", width, EXPANSION * width)):
+        yield f"motion.{layer}.w", (fan_in, fan_out)
+        yield f"motion.{layer}.b", (fan_out,)
+
+
+def init_params(shapes: Iterable[Tuple[str, Tuple[int, ...]]], rng: RngState, tag: str,
+                zero: Tuple[str, ...] = ()) -> Dict[str, Tensor]:
+    """The one init rule of the trainable tensors: a bias (`.b`/`_b`) or a
+    tensor whose name ends in one of `zero` starts at zero; any other is
+    `rng.normal(tag, name) * INIT_SCALE`, `name` without a leading `tag.`."""
+    return {name: Tensor(np.zeros(shape) if name.endswith((".b", "_b") + zero) else
+                         rng.normal(tag, name.removeprefix(f"{tag}."), size=shape) * INIT_SCALE,
+                         requires_grad=True)
+            for name, shape in shapes}
 
 
 def init_motion_params(width: int, rng: RngState,
                        zero_final: bool = True) -> Dict[str, Tensor]:
     """Parameters for the conditioning network; the expansion layer is
     zero-initialized by default so the embedding starts at zero."""
-
-    def dense(name, shape):
-        return Tensor(rng.normal("motion", name, size=shape) * INIT_SCALE, requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params = {
-        "motion.mlp1.w": dense("mlp1.w", (2, width)),
-        "motion.mlp1.b": zeros(width),
-        "motion.mlp2.w": dense("mlp2.w", (width, width)),
-        "motion.mlp2.b": zeros(width),
-        "motion.res1.w": dense("res1.w", (width, width)),
-        "motion.res1.b": zeros(width),
-        "motion.res2.w": dense("res2.w", (width, width)),
-        "motion.res2.b": zeros(width),
-        "motion.expand.w": (zeros((width, EXPANSION * width)) if zero_final
-                            else dense("expand.w", (width, EXPANSION * width))),
-        "motion.expand.b": zeros(EXPANSION * width),
-    }
-    return params
+    return init_params(motion_param_shapes(width), rng, "motion",
+                       ("motion.expand.w",) if zero_final else ())
 
 
 def motion_embed(omega: Tensor, params: Dict[str, Tensor]) -> Tensor:

@@ -13,10 +13,11 @@ import numpy as np
 from .rng import RngState
 from .tensor import Tensor, precision
 
+GRAD_CHECK_EPS = 1e-5  # central-difference step
+
 
 def grad_check(f: Callable[[Dict[str, Tensor]], Tensor],
                params: Dict[str, Tensor],
-               eps: float = 1e-5,
                max_coords_per_param: Optional[int] = None,
                rng: Optional[RngState] = None) -> float:
     """Max relative error between analytic and central-difference grads.
@@ -27,8 +28,6 @@ def grad_check(f: Callable[[Dict[str, Tensor]], Tensor],
     for a non-default subset). The error for one coordinate is
     |analytic - numeric| / max(1, |numeric|).
     """
-    if not (1e-6 <= eps <= 1e-3):
-        raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
     with precision("f64"):
         params64 = {name: Tensor(p.data.astype(np.float64), requires_grad=True)
                     for name, p in params.items()}
@@ -53,12 +52,12 @@ def grad_check(f: Callable[[Dict[str, Tensor]], Tensor],
             aflat = analytic.reshape(-1)
             for idx in coords:
                 original = flat[idx]
-                flat[idx] = original + eps
+                flat[idx] = original + GRAD_CHECK_EPS
                 hi = float(f(params64).data)
-                flat[idx] = original - eps
+                flat[idx] = original - GRAD_CHECK_EPS
                 lo = float(f(params64).data)
                 flat[idx] = original
-                numeric = (hi - lo) / (2.0 * eps)
+                numeric = (hi - lo) / (2.0 * GRAD_CHECK_EPS)
                 if not np.isfinite(numeric):
                     raise FloatingPointError(
                         f"non-finite finite-difference value in parameter {name!r}")

@@ -308,15 +308,19 @@ def read_dataset(data_dir) -> Tuple[List[Sample], SynthConfig]:
     manifest = json.loads(manifest_path.read_text())
     try:
         config = SynthConfig(**manifest["config"])
-        samples = [_read_sample(data_dir, record) for record in manifest["samples"]]
+        samples = [_read_sample(data_dir, record, config) for record in manifest["samples"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest "
                          f"({type(exc).__name__}: {exc})") from exc
     return samples, config
 
 
-def _read_sample(data_dir: Path, record: Dict) -> Sample:
+def _read_sample(data_dir: Path, record: Dict, config: SynthConfig) -> Sample:
     sub = data_dir / record["dir"]
+    F, H, W = config.frames, config.height, config.width
+    shapes = {"video": (F, H, W, 3), "envelope": (config.envelope_samples,),
+              "lip_mask": (F, H, W), "landmarks": (F, 12, 2), "joints": (F, 4, 2),
+              "fg_mask": (F, H, W)}
     arrays = {}
     for name in _SAMPLE_FILES:
         path = sub / f"{name}.pft"
@@ -324,6 +328,9 @@ def _read_sample(data_dir: Path, record: Dict) -> Sample:
         if digest != record["checksums"][name]:
             raise ValueError(f"checksum mismatch for {record['dir']}/{name}.pft")
         arrays[name] = load_tensor(path)
+        if arrays[name].shape != shapes[name]:
+            raise ValueError(f"{record['dir']}/{name}.pft has shape {arrays[name].shape}, "
+                             f"the manifest's config implies {shapes[name]}")
     spec = SceneSpec(identity=tuple(record["identity"]),
                      omega_l=record["omega_l"], omega_b=record["omega_b"],
                      envelope=arrays["envelope"],

@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def _inspect_fails_cleanly(path, capsys) -> None:
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
+def _sample_fails_cleanly(path, tmp_path, capsys):
+    """Run `sample` on the checkpoint at `path`; assert it exits 2 with one
+    `error:` line and return that line and tracemalloc's peak in bytes."""
+    ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
+    save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
+    save_tensor(audio, np.zeros(TINY_ENC.audio_tokens * TINY_ENC.samples_per_token))
+    tracemalloc.start()
+    try:
+        code = main(["sample", "--ckpt", str(path), "--ref", str(ref), "--audio",
+                     str(audio), "--out", str(tmp_path / "out"), "--steps", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2 and len(err) == 1 and err[0].startswith("error:"), err
+    return err[0], peak
+
+
 class TestMalformed:
     @pytest.mark.parametrize("where", ["10 bytes", "mid-header", "mid-directory",
                                        "mid-payload"])
@@ -245,14 +264,27 @@ class TestMalformed:
             tensors[named] = tensors[named].copy()
             tensors[named].flat[0] = float(action)
             path.write_bytes(_with_records(saved_bytes, sorted(tensors.items())))
-        ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
-        save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
-        save_tensor(audio, np.zeros(TINY_ENC.audio_tokens * TINY_ENC.samples_per_token))
-        assert main(["sample", "--ckpt", str(path), "--ref", str(ref), "--audio",
-                     str(audio), "--out", str(tmp_path / "out"), "--steps", "1"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:"), err
-        assert repr(named) in err[0]
+        assert repr(named) in _sample_fails_cleanly(path, tmp_path, capsys)[0]
+
+    @pytest.mark.parametrize("edit", [
+        {"dit.depth": 5000},
+        {"enc.patch": 40, "enc.height": 40, "enc.width": 40},
+    ], ids=["depth", "patch and frame size"])
+    def test_header_larger_than_the_file_allocates_nothing(self, saved_bytes, tmp_path,
+                                                           capsys, edit):
+        # a reader that builds the header-sized model to learn its shapes
+        # peaks at 160-190 MB here, and asks for 32 GB at depth 100000
+        def rewrite(header):
+            kept = [line for line in header.splitlines(True) if line.split(" =")[0] not in edit]
+            return "".join(kept) + "".join(f"{key} = {value}\n" for key, value in edit.items())
+
+        path = tmp_path / "larger.pfck"
+        path.write_bytes(_with_header(saved_bytes, rewrite))
+        flat, _ = read_checkpoint_raw(path)
+        assert all(flat[key] == value for key, value in edit.items())
+        err, peak = _sample_fails_cleanly(path, tmp_path, capsys)
+        assert "the header implies" in err, err
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_tensor_records_follow_the_header_in_name_order(self, saved_bytes, tmp_path):
         path = tmp_path / "ckpt.pfck"

@@ -404,3 +404,34 @@ def test_train_corpus_must_match_the_config_encoder(workspace, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "envelope_samples" in err[0], err
     assert not out.exists()
+
+
+def test_train_on_a_manifest_contradicting_its_arrays(workspace, capsys, tmp_path):
+    # a manifest describing 16-frame clips over 8-frame files: the parent
+    # read them, created the run directory and failed only in `encode_audio`
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["config"].update(frames=16, envelope_samples=4096)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--holdout", "3",
+                 "--steps-clip", "1", "--steps-frame", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "video.pft" in err[0], err
+    assert not out.exists()
+
+
+def test_sample_rejects_an_envelope_longer_than_the_encoder_reads(workspace, capsys,
+                                                                  tmp_path):
+    # the parent sampled from the first half of a 16-frame clip's audio
+    data, run = workspace / "data", workspace / "run"
+    audio = tmp_path / "envelope16.pft"
+    save_tensor(audio, np.tile(load_tensor(data / "sample_00008" / "envelope.pft"), 2))
+    out = tmp_path / "out"
+    assert main(["sample", "--ckpt", str(run / "checkpoint_final.pfck"),
+                 "--ref", str(data / "sample_00008" / "video.pft"), "--audio", str(audio),
+                 "--steps", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "envelope" in err[0], err
+    assert not (out / "video.pft").exists()

@@ -1,12 +1,14 @@
 """Backbone contracts: modulation, block algebra, mode equivalence."""
 
 import dataclasses
+from itertools import chain
 
 import numpy as np
 import pytest
 
 from portraitflow.alignment import block_mask, segment_audio
 from portraitflow.model import (
+    ZERO_INIT,
     ConditioningBundle,
     DiTConfig,
     condition_bundle,
@@ -14,9 +16,11 @@ from portraitflow.model import (
     dit_block,
     init_model_params,
     model_forward,
+    param_shapes,
     sinusoidal_features,
     timestep_embedding,
 )
+from portraitflow.motion import motion_param_shapes
 from portraitflow.numerics import RngState, Tensor, attention, grad_check
 from tiny_configs import TINY_DIT as TINY
 
@@ -260,6 +264,17 @@ class TestModelForward:
         for config in (TINY, DiTConfig()):
             params = init_model_params(config, RngState(0))
             assert sum(p.size for p in params.values()) == param_count(config)
+
+    def test_one_init_rule_builds_the_table(self):
+        # every tensor is built with its table shape, and is all zeros
+        # exactly when it is a bias, a ZERO_INIT head or the motion expansion
+        for config in (TINY, DiTConfig()):
+            params = init_model_params(config, RngState(0))
+            table = chain(param_shapes(config), motion_param_shapes(config.width))
+            assert {n: p.shape for n, p in params.items()} == dict(table)
+            for name, p in params.items():
+                zero = name.endswith((".b", "_b", "motion.expand.w") + ZERO_INIT)
+                assert (not p.data.any()) == zero, name
 
     def test_end_to_end_gradient_check(self, tiny_params):
         # full model loss vs central differences at f64, sampled coords

@@ -164,6 +164,18 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match="sample_00001"):
             read_dataset(tmp_path)
 
+    @pytest.mark.parametrize("key,value,named", [("frames", 16, "video"),
+                                                 ("width", 24, "video"),
+                                                 ("envelope_samples", 4096, "envelope")])
+    def test_manifest_config_must_match_the_arrays(self, tmp_path, key, value, named):
+        # unchecked, the config read back contradicts the files it describes
+        write_dataset(make_corpus_specs(2, 0, CFG), tmp_path, CFG)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"sample_00000/{named}.pft"):
+            read_dataset(tmp_path)
+
     def test_corpus_generation_speed(self, tmp_path):
         start = time.time()
         write_dataset(make_corpus_specs(256, 0, CFG), tmp_path, CFG)

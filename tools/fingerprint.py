@@ -4,7 +4,10 @@
 
 SRC_DIR is the directory holding the `portraitflow` package (default:
 this checkout's `src/`). Run it once per tree, say a change and its
-parent, to see whether the change leaves every output byte-identical.
+parent, to see whether the change leaves every output byte-identical and
+how many lines of `src/` it took, e.g.
+
+    for src in ../parent/src src; do python3 tools/fingerprint.py $src; done
 
 The run: a 20-clip seed-0 corpus at the default sizes; 12 `train_step`s
 (6 clip, 6 frame) at batch 4 and seed 3 on the first 17 clips; one
@@ -19,7 +22,8 @@ counters, parameters, Adam moments and encoder arrays, not the file
 bytes, so two checkpoint formats holding the same state hash alike), one
 sha256 over all six, the autodiff graph nodes of each train step, counted from the
 loss as `bench/run.py` counts them, and the `model_forward` calls each
-`sample()` makes.
+`sample()` makes. Last it prints the line count of the `.py` files under
+SRC_DIR/portraitflow (as `wc -l` counts them), which is not hashed.
 """
 
 from __future__ import annotations
@@ -157,6 +161,9 @@ def main(argv=None) -> int:
     for mode, count in calls.items():
         print(f"model_forward calls per {mode}-mode sample(): {count} "
               f"at {SAMPLE_STEPS} steps")
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in (Path(args.src) / "portraitflow").rglob("*.py"))
+    print(f"src lines: {lines} (not hashed)")
     return 0
 
 
