@@ -5,11 +5,10 @@ u64-length-prefixed canonical config text block (the config-text keys
 of config.py, plus motion normalization statistics and step counters,
 which only a header carries), a u32 tensor count, then one
 record per tensor in name order: a u16-length UTF-8 name followed by
-the tensor's `serialize.write_payload` payload. The file is read front
-to back once; a name stored twice or a byte after the last tensor is
-rejected. Model parameters are stored under "model.", Adam moments under
-"opt.m." / "opt.v." (so a resumed run continues bit-exactly), and the
-frozen encoder weights under "enc.".
+the tensor's `serialize.write_payload` payload. `checkpoint_contents`
+names what a state stores; `load_checkpoint` reads the file front to
+back once, then checks and builds the state in one walk over the
+parameter tables its header implies.
 """
 
 from __future__ import annotations
@@ -41,28 +40,25 @@ _HEADER_KEYS = {
 }
 
 
-def _state_to_tensors(state: TrainerState) -> Dict[str, np.ndarray]:
-    tensors = {f"model.{name}": p.data for name, p in state.params.items()}
-    for name, arr in state.opt.m.items():
-        tensors[f"opt.m.{name}"] = arr
-        tensors[f"opt.v.{name}"] = state.opt.v[name]
-    for name, arr in state.enc_params.named_arrays().items():
-        tensors[f"enc.{name}"] = arr
-    return tensors
+def checkpoint_contents(state: TrainerState
+                        ) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
+    """What a checkpoint stores of `state`: (header values, named arrays).
+    Model parameters are named "model.*", Adam moments "opt.m.*" / "opt.v.*"
+    (so a resumed run continues bit-exactly) and encoder weights "enc.*"."""
+    flat = {**configs_to_flat(state.dit, state.enc, state.train),
+            "norm.facial_min": state.norm_facial.min, "norm.facial_max": state.norm_facial.max,
+            "norm.body_min": state.norm_body.min, "norm.body_max": state.norm_body.max,
+            "state.step": state.step, "state.adam_count": state.opt.count}
+    arrays = {f"model.{name}": p.data for name, p in state.params.items()}
+    arrays.update({f"opt.m.{name}": arr for name, arr in state.opt.m.items()})
+    arrays.update({f"opt.v.{name}": arr for name, arr in state.opt.v.items()})
+    arrays.update({f"enc.{name}": arr for name, arr in vars(state.enc_params).items()})
+    return flat, arrays
 
 
 def save_checkpoint(path, state: TrainerState) -> None:
-    flat = configs_to_flat(state.dit, state.enc, state.train)
-    flat.update({
-        "norm.facial_min": state.norm_facial.min,
-        "norm.facial_max": state.norm_facial.max,
-        "norm.body_min": state.norm_body.min,
-        "norm.body_max": state.norm_body.max,
-        "state.step": state.step,
-        "state.adam_count": state.opt.count,
-    })
+    flat, tensors = checkpoint_contents(state)
     header = dump_flat(flat).encode("utf-8")
-    tensors = _state_to_tensors(state)
 
     # Written beside the target and renamed over it, so a crash mid-write
     # never leaves a cut checkpoint under the final name.
@@ -87,7 +83,9 @@ def save_checkpoint(path, state: TrainerState) -> None:
 
 
 def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]:
-    """Parse a checkpoint into (flat config values, named arrays)."""
+    """Parse a checkpoint into (flat header values, named arrays). The file's
+    layout and header are checked; its records are returned unchecked, as
+    read: `load_checkpoint` checks them against the header."""
     with open(path, "rb") as fh:
         end = _file_end(fh)
         if fh.read(4) != MAGIC:
@@ -119,50 +117,40 @@ def read_checkpoint_raw(path) -> Tuple[Dict[str, object], Dict[str, np.ndarray]]
     return flat, tensors
 
 
-def _check_tensors(path, tensors: Dict[str, np.ndarray], dit, enc) -> None:
-    """Raise ValueError naming the first header-implied tensor that is
-    missing, the wrong shape (a wrong-shaped bias would otherwise broadcast
-    silently) or holds a NaN or inf (which would turn every output NaN),
-    then any tensor the header does not imply. Adam moments are optional,
-    but come in (m, v) pairs shaped like their parameter. Shapes are derived
-    one at a time, so a header naming a model larger than its file fails at
-    its first missing tensor and allocates nothing."""
-    def check(name, shape):
-        if name not in tensors or tensors[name].shape != shape:
-            found = f"shape {tensors[name].shape}" if name in tensors else "no such tensor"
+def load_checkpoint(path) -> TrainerState:
+    """Read a checkpoint and build its state, checking one tensor at a time
+    against the header's parameter tables. The first tensor missing, of the
+    wrong shape (a bias would broadcast silently) or holding a NaN or inf
+    raises ValueError, then any tensor left over. Adam moments are optional
+    but come in (m, v) pairs. A header naming a model larger than its file
+    fails at its first missing tensor and allocates nothing."""
+    flat, records = read_checkpoint_raw(path)
+    dit, enc, train = flat_to_configs(flat)
+
+    def take(name, shape):
+        arr = records.pop(name, None)
+        if arr is None or arr.shape != shape:
+            found = "no such tensor" if arr is None else f"shape {arr.shape}"
             raise ValueError(f"{Path(path).name}: tensor {name!r} has {found}, "
                              f"the header implies shape {shape}")
-        if not np.isfinite(tensors[name]).all():
+        if not np.isfinite(arr).all():
             raise ValueError(f"{Path(path).name}: tensor {name!r} holds NaN or inf")
-        implied.add(name)
+        return arr
 
-    implied = set()
+    params, opt = {}, Adam(train.lr)
     for name, shape in chain(param_shapes(dit), motion_param_shapes(dit.width)):
-        check(f"model.{name}", shape)
-        if f"opt.m.{name}" in tensors or f"opt.v.{name}" in tensors:
-            check(f"opt.m.{name}", shape)
-            check(f"opt.v.{name}", shape)
-    for name, shape in encoder_param_shapes(enc):
-        check(f"enc.{name}", shape)
-    extra = sorted(set(tensors) - implied)
-    if extra:
-        raise ValueError(f"{Path(path).name}: tensor {extra[0]!r} has shape "
-                         f"{tensors[extra[0]].shape}, the header implies no such tensor")
-
-
-def load_checkpoint(path) -> TrainerState:
-    flat, tensors = read_checkpoint_raw(path)
-    dit, enc, train = flat_to_configs(flat)
-    _check_tensors(path, tensors, dit, enc)
-    groups = {prefix: {name[len(prefix):]: arr for name, arr in tensors.items()
-                       if name.startswith(prefix)}
-              for prefix in ("model.", "enc.", "opt.m.", "opt.v.")}
-    opt = Adam(train.lr)
-    opt.count, opt.m, opt.v = int(flat["state.adam_count"]), groups["opt.m."], groups["opt.v."]
+        params[name] = Tensor(take(f"model.{name}", shape), requires_grad=True)
+        if f"opt.m.{name}" in records or f"opt.v.{name}" in records:
+            opt.m[name], opt.v[name] = take(f"opt.m.{name}", shape), take(f"opt.v.{name}", shape)
+    enc_params = EncoderParams(**{name: take(f"enc.{name}", shape)
+                                  for name, shape in encoder_param_shapes(enc)})
+    if records:
+        extra = min(records)
+        raise ValueError(f"{Path(path).name}: tensor {extra!r} has shape "
+                         f"{records[extra].shape}, the header implies no such tensor")
+    opt.count = int(flat["state.adam_count"])
     return TrainerState(
-        dit=dit, enc=enc, train=train,
-        params={n: Tensor(arr, requires_grad=True) for n, arr in groups["model."].items()},
-        enc_params=EncoderParams(**groups["enc."]), opt=opt,
+        dit=dit, enc=enc, train=train, params=params, enc_params=enc_params, opt=opt,
         norm_facial=MotionNorm(min=flat["norm.facial_min"], max=flat["norm.facial_max"]),
         norm_body=MotionNorm(min=flat["norm.body_min"], max=flat["norm.body_max"]),
         step=int(flat["state.step"]))

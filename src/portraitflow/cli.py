@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .checkpoint import load_checkpoint, read_checkpoint_raw
+from .checkpoint import checkpoint_contents, load_checkpoint
 from .config import configs_to_flat, flat_to_configs, parse_flat
 from .encoders import EncoderConfig
 from .evalmetrics import evaluate_model, write_report
@@ -58,7 +58,7 @@ def _check_corpus(synth: SynthConfig, enc: EncoderConfig) -> None:
     its frames and frame size must be the encoder's, and its envelopes as
     long as the encoder's audio tokens cover."""
     have = (synth.frames, synth.height, synth.width, synth.envelope_samples)
-    want = (enc.frames, enc.height, enc.width, enc.audio_tokens * enc.samples_per_token)
+    want = (enc.frames, enc.height, enc.width, enc.envelope_samples)
     if have != want:
         raise ValueError(f"corpus (frames, height, width, envelope_samples) {have} "
                          f"does not match the encoder config's {want}")
@@ -73,7 +73,7 @@ def cmd_gen_data(args) -> int:
         raise ValueError(f"count {args.count} must be at least 1")
     out = Path(args.out)
     synth = SynthConfig(frames=args.frames, height=args.size, width=args.size,
-                        envelope_samples=args.frames * 256,
+                        envelope_samples=EncoderConfig(frames=args.frames).envelope_samples,
                         identities=args.identities)
     specs = make_corpus_specs(args.count, args.seed, synth)
     manifest = write_dataset(specs, out, synth)
@@ -179,12 +179,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    flat, tensors = read_checkpoint_raw(args.ckpt)
-    model_params = {k: v for k, v in tensors.items() if k.startswith("model.")}
-    total = sum(int(np.prod(v.shape)) for v in model_params.values())
+    state = load_checkpoint(args.ckpt)
+    flat, tensors = checkpoint_contents(state)
+    total = sum(p.data.size for p in state.params.values())
     print(f"checkpoint {args.ckpt}")
-    print(f"  step: {flat['state.step']}  adam updates: {flat['state.adam_count']}")
-    print(f"  model tensors: {len(model_params)}  trainable parameters: {total}")
+    print(f"  step: {state.step}  adam updates: {state.opt.count}")
+    print(f"  model tensors: {len(state.params)}  trainable parameters: {total}")
     print(f"  total stored tensors: {len(tensors)}")
     for key in sorted(flat):
         print(f"  {key} = {flat[key]}")

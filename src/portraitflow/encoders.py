@@ -64,12 +64,13 @@ class EncoderConfig:
         return self.patch_dim
 
     @property
-    def video_tokens(self) -> int:
-        return self.latent_frames * self.latent_h * self.latent_w
-
-    @property
     def audio_tokens(self) -> int:
         return self.tokens_per_frame * self.latent_frames
+
+    @property
+    def envelope_samples(self) -> int:
+        # envelope length the audio encoder reads, all of it
+        return self.audio_tokens * self.samples_per_token
 
 
 @dataclass
@@ -101,13 +102,6 @@ class EncoderParams:
     audio_b: np.ndarray     # [c_a]
     conv1_w: np.ndarray     # [ch1, 3, 3, 3]
     conv2_w: np.ndarray     # [c_feat, ch1, 3, 3]
-
-    def named_arrays(self) -> Dict[str, np.ndarray]:
-        return {
-            "patch_w": self.patch_w, "patch_b": self.patch_b, "unpatch_w": self.unpatch_w,
-            "audio_w": self.audio_w, "audio_b": self.audio_b,
-            "conv1_w": self.conv1_w, "conv2_w": self.conv2_w,
-        }
 
 
 def encoder_param_shapes(config: EncoderConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:

@@ -13,7 +13,6 @@ import numpy as np
 from .tensor import Tensor, _unbroadcast
 
 LAYER_NORM_EPS = 1e-5
-NEG_INF = float("-inf")
 
 
 def _softmax_inplace(scores: np.ndarray, axis: int) -> np.ndarray:

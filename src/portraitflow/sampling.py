@@ -115,9 +115,9 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
         raise ValueError(
             f"reference frame must be {(enc.height, enc.width, 3)}, "
             f"got {reference_frame.shape}")
-    if np.size(envelope) != enc.audio_tokens * enc.samples_per_token:
+    if np.size(envelope) != enc.envelope_samples:
         raise ValueError(f"audio envelope has {np.size(envelope)} samples, the checkpoint's "
-                         f"encoder reads {enc.audio_tokens * enc.samples_per_token}")
+                         f"encoder reads {enc.envelope_samples}")
     for name, arr in (("reference frame", reference_frame), ("audio envelope", envelope)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} holds non-finite values")

@@ -351,7 +351,8 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     newline-delimited loss log. The log keeps only the lines already in
     it for steps before `state.step`, so a resumed run into the same
     directory logs each step once. Returns the final state, the reports
-    from this call, and the checkpoint paths.
+    from this call, and the checkpoint paths. A resumed `state` must hold
+    the configs given.
     """
     from .checkpoint import save_checkpoint
 
@@ -359,6 +360,9 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     if state is None:
         state = init_trainer(dit, enc, train, samples)
+    for name, given in (("dit", dit), ("enc", enc), ("train", train)):
+        if getattr(state, name) != given:
+            raise ValueError(f"the state's {name} config differs from the {name} config given")
     data = prepare_training_tensors(samples, state.enc_params, state.enc)
 
     artifacts: Dict[str, Path] = {}

@@ -1,5 +1,6 @@
 """Checkpoint round trips, exact resume and malformed files."""
 
+import dataclasses
 import io
 import struct
 import tracemalloc
@@ -66,8 +67,8 @@ class TestRoundTrip:
         for name in state.opt.m:
             assert np.array_equal(loaded.opt.m[name], state.opt.m[name])
             assert np.array_equal(loaded.opt.v[name], state.opt.v[name])
-        for name, arr in state.enc_params.named_arrays().items():
-            assert np.array_equal(loaded.enc_params.named_arrays()[name], arr)
+        for name, arr in vars(state.enc_params).items():
+            assert np.array_equal(vars(loaded.enc_params)[name], arr)
 
     def test_save_load_save_is_stable(self, tiny_samples, tmp_path):
         state = trained_state(tiny_samples)
@@ -129,6 +130,22 @@ class TestResume:
         assert [r["step"] for r in rows] == list(range(cfg.total_steps))
         assert [r["loss"] for r in rows] == [r.loss for r in full_reports]
 
+    @pytest.mark.parametrize("differs", ["dit", "train"])
+    def test_resume_rejects_configs_the_state_does_not_hold(self, tiny_samples, tmp_path,
+                                                            differs):
+        # unchecked, the loop ran to the given train config's total while
+        # every step took its seed, stage and batch from the state's
+        cfg = TrainConfig(steps_clip=4, steps_frame=3, batch_size=2, seed=9)
+        _, _, artifacts = run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg,
+                                        tmp_path / "full")
+        given = {"dit": (dataclasses.replace(TINY_DIT, lambda_identity=0.25), cfg),
+                 "train": (TINY_DIT, TrainConfig(steps_clip=2, steps_frame=6, seed=1))}
+        dit, train = given[differs]
+        with pytest.raises(ValueError, match=f"the state's {differs} config differs"):
+            run_two_stage(tiny_samples, dit, TINY_ENC, train, tmp_path / "resume",
+                          state=load_checkpoint(artifacts["clip"]))
+        assert not (tmp_path / "resume" / "checkpoint_final.pfck").exists()
+
     def test_failed_save_keeps_previous_checkpoint(self, tiny_samples, tmp_path):
         state = trained_state(tiny_samples)
         path = tmp_path / "ckpt.pfck"
@@ -174,21 +191,25 @@ def _inspect_fails_cleanly(path, capsys) -> None:
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
-def _sample_fails_cleanly(path, tmp_path, capsys):
-    """Run `sample` on the checkpoint at `path`; assert it exits 2 with one
-    `error:` line and return that line and tracemalloc's peak in bytes."""
-    ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
-    save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
-    save_tensor(audio, np.zeros(TINY_ENC.audio_tokens * TINY_ENC.samples_per_token))
+def _fails_cleanly(command, path, tmp_path, capsys):
+    """Run `command` ("sample" or "inspect") on the checkpoint at `path`;
+    assert it exits 2 with one `error:` line and return that line and
+    tracemalloc's peak in bytes."""
+    argv = [command, "--ckpt", str(path)]
+    if command == "sample":
+        ref, audio = tmp_path / "ref.pft", tmp_path / "audio.pft"
+        save_tensor(ref, np.zeros((TINY_ENC.height, TINY_ENC.width, 3)))
+        save_tensor(audio, np.zeros(TINY_ENC.envelope_samples))
+        argv += ["--ref", str(ref), "--audio", str(audio), "--out", str(tmp_path / "out"),
+                 "--steps", "1"]
     tracemalloc.start()
     try:
-        code = main(["sample", "--ckpt", str(path), "--ref", str(ref), "--audio",
-                     str(audio), "--out", str(tmp_path / "out"), "--steps", "1"])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err.strip().splitlines()
-    assert code == 2 and len(err) == 1 and err[0].startswith("error:"), err
+    assert code == 2 and len(err) == 1 and err[0].startswith("error:"), (command, err)
     return err[0], peak
 
 
@@ -264,7 +285,8 @@ class TestMalformed:
             tensors[named] = tensors[named].copy()
             tensors[named].flat[0] = float(action)
             path.write_bytes(_with_records(saved_bytes, sorted(tensors.items())))
-        assert repr(named) in _sample_fails_cleanly(path, tmp_path, capsys)[0]
+        for command in ("sample", "inspect"):
+            assert repr(named) in _fails_cleanly(command, path, tmp_path, capsys)[0]
 
     @pytest.mark.parametrize("edit", [
         {"dit.depth": 5000},
@@ -282,9 +304,36 @@ class TestMalformed:
         path.write_bytes(_with_header(saved_bytes, rewrite))
         flat, _ = read_checkpoint_raw(path)
         assert all(flat[key] == value for key, value in edit.items())
-        err, peak = _sample_fails_cleanly(path, tmp_path, capsys)
-        assert "the header implies" in err, err
-        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+        for command in ("sample", "inspect"):
+            err, peak = _fails_cleanly(command, path, tmp_path, capsys)
+            assert "the header implies" in err, err
+            assert peak < 16e6, f"{command} peak {peak / 1e6:.1f} MB"
+
+    def test_inspect_rejects_a_header_deeper_than_the_file(self, saved_bytes, tmp_path,
+                                                           capsys):
+        # a summary read from the header alone printed depth 9 beside the
+        # 2-block file's 81 model tensors and exited 0
+        def deeper(header):
+            assert "dit.depth = 2\n" in header.splitlines(True)
+            return header.replace("dit.depth = 2\n", "dit.depth = 9\n")
+
+        path = tmp_path / "deeper.pfck"
+        path.write_bytes(_with_header(saved_bytes, deeper))
+        err, _ = _fails_cleanly("inspect", path, tmp_path, capsys)
+        assert "tensor 'model.block2.mod.w' has no such tensor" in err, err
+
+    def test_inspect_prints_the_stored_header(self, saved_bytes, tmp_path, capsys):
+        path = tmp_path / "ckpt.pfck"
+        path.write_bytes(saved_bytes)
+        assert main(["inspect", "--ckpt", str(path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        (length,) = struct.unpack("<Q", saved_bytes[8:16])
+        header = saved_bytes[16:16 + length].decode("utf-8").splitlines()
+        assert printed[4:] == [f"  {line}" for line in header]
+        model = {name: arr for name, arr in read_checkpoint_raw(path)[1].items()
+                 if name.startswith("model.")}
+        assert printed[2] == (f"  model tensors: {len(model)}  trainable parameters: "
+                              f"{sum(arr.size for arr in model.values())}")
 
     def test_tensor_records_follow_the_header_in_name_order(self, saved_bytes, tmp_path):
         path = tmp_path / "ckpt.pfck"

@@ -28,3 +28,32 @@ def test_no_unused_module_imports():
     found = {str(p.relative_to(ROOT)): names for p in modules
              if (names := unused_imports(p))}
     assert found == {}
+
+
+# Top-level src/ names that no src/ code uses, each with why it stays.
+UNUSED_IN_SRC = {
+    "block_mask": "oracle for the alignment theorem (criterion 2)",
+    "grad_check": "oracle for every hand-written backward",
+    "softmax_lastaxis": "oracle for attention's softmax",
+    "compute_coefficient": "training and eval take it up in ROADMAP item 2",
+}
+
+
+def _names(node: ast.AST) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_src_definition_has_a_src_user():
+    # a name counts as used when src/ code other than its own definition
+    # names it; imports and `__all__` strings are not names
+    defined, used = set(), set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                used |= _names(node) - {node.name}
+            else:
+                used |= _names(node)
+    assert len(defined) > 50
+    assert defined - used == set(UNUSED_IN_SRC)

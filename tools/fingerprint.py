@@ -129,7 +129,7 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
     for name in loaded.opt.m:
         arrays[f"opt.m.{name}"] = loaded.opt.m[name]
         arrays[f"opt.v.{name}"] = loaded.opt.v[name]
-    for name, arr in loaded.enc_params.named_arrays().items():
+    for name, arr in vars(loaded.enc_params).items():
         arrays[f"enc.{name}"] = arr
     out["checkpoint"] = repr((loaded.dit, loaded.enc, loaded.train, loaded.norm_facial,
                               loaded.norm_body, loaded.step, loaded.opt.count)).encode()
