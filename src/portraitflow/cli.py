@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import checkpoint_contents, load_checkpoint
-from .config import configs_to_flat, flat_to_configs, parse_flat
+from .config import config_schema, configs_to_flat, flat_to_configs, parse_flat
 from .encoders import EncoderConfig
 from .evalmetrics import evaluate_model, write_report
 from .numerics import load_tensor, save_tensor
@@ -42,15 +42,6 @@ def _write_record(out_dir: Path, command: str, payload: Dict) -> None:
     record = {"tool": "portraitflow", "version": __version__, "command": command}
     record.update(payload)
     (out_dir / "run_record.json").write_text(json.dumps(record, indent=1))
-
-
-def _flag_overrides(args, mapping: Dict[str, str]) -> Dict[str, object]:
-    out = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr)
-        if value is not None:
-            out[key] = value
-    return out
 
 
 def _check_corpus(synth: SynthConfig, enc: EncoderConfig) -> None:
@@ -90,11 +81,10 @@ def cmd_train(args) -> int:
     flat: Dict[str, object] = {}
     if args.config:
         flat.update(parse_flat(Path(args.config).read_text()))
-    flat.update(_flag_overrides(args, {
-        "steps_clip": "train.steps_clip", "steps_frame": "train.steps_frame",
-        "batch": "train.batch_size", "lr": "train.lr", "eta": "train.eta",
-        "seed": "train.seed", "depth": "dit.depth", "width": "dit.width",
-    }))
+    # a flag given overrides the file: its dest is the config key it sets
+    keys = config_schema()
+    flat.update((key, value) for key, value in vars(args).items()
+                if key in keys and value is not None)
     # encoder geometry must match the stored corpus
     flat.setdefault("enc.frames", synth.frames)
     flat.setdefault("enc.height", synth.height)
@@ -205,23 +195,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--count", type=int, default=256)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--identities", type=int, default=32)
-    g.add_argument("--frames", type=int, default=8)
-    g.add_argument("--size", type=int, default=32)
+    g.add_argument("--identities", type=int, default=SynthConfig.identities)
+    g.add_argument("--frames", type=int, default=SynthConfig.frames)
+    g.add_argument("--size", type=int, default=SynthConfig.height)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="two-stage training on a stored corpus")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None, help="flat key=value config file")
-    t.add_argument("--steps-clip", type=int, default=None, dest="steps_clip")
-    t.add_argument("--steps-frame", type=int, default=None, dest="steps_frame")
-    t.add_argument("--batch", type=int, default=None)
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--eta", type=float, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--depth", type=int, default=None)
-    t.add_argument("--width", type=int, default=None)
+    schema = config_schema()
+    for flag, key in (("--steps-clip", "train.steps_clip"), ("--steps-frame", "train.steps_frame"),
+                      ("--batch", "train.batch_size"), ("--lr", "train.lr"),
+                      ("--eta", "train.eta"), ("--seed", "train.seed"),
+                      ("--depth", "dit.depth"), ("--width", "dit.width")):
+        t.add_argument(flag, type=schema[key], dest=key,
+                       metavar=flag[2:].upper().replace("-", "_"))
     t.add_argument("--holdout", type=int, default=16,
                    help="samples kept out of training (tail of the corpus)")
     t.set_defaults(func=cmd_train)
@@ -231,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ref", required=True, help="reference tensor file [H,W,3] or [F,H,W,3]")
     s.add_argument("--audio", required=True, help="envelope tensor file")
     s.add_argument("--out", required=True)
-    s.add_argument("--motion-l", type=float, default=0.5, dest="motion_l")
-    s.add_argument("--motion-b", type=float, default=0.5, dest="motion_b")
-    s.add_argument("--cfg-scale", type=float, default=4.5, dest="cfg_scale")
-    s.add_argument("--steps", type=int, default=30)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--mode", choices=("clip", "frame"), default=None)
+    s.add_argument("--motion-l", type=float, default=SampleConfig.omega_l, dest="motion_l")
+    s.add_argument("--motion-b", type=float, default=SampleConfig.omega_b, dest="motion_b")
+    s.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale, dest="cfg_scale")
+    s.add_argument("--steps", type=int, default=SampleConfig.steps)
+    s.add_argument("--seed", type=int, default=SampleConfig.seed)
+    s.add_argument("--mode", choices=("clip", "frame"), default=SampleConfig.mode)
     s.add_argument("--dump-frames", action="store_true", dest="dump_frames")
     s.add_argument("--drop-all-conditions", action="store_true",
                    dest="drop_all_conditions")
@@ -247,9 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--count", type=int, default=16)
-    e.add_argument("--steps", type=int, default=30)
-    e.add_argument("--cfg-scale", type=float, default=4.5, dest="cfg_scale")
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--steps", type=int, default=SampleConfig.steps)
+    e.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale, dest="cfg_scale")
+    e.add_argument("--seed", type=int, default=SampleConfig.seed)
     e.add_argument("--lambda-identity", type=float, default=None,
                    dest="lambda_identity")
     e.set_defaults(func=cmd_eval)

@@ -4,10 +4,10 @@ One `section.key = value` pair per line; `#` starts a comment. The
 schema is derived from the three config dataclasses (sections "dit",
 "enc", "train"), so every key has a declared type and unknown keys are
 rejected. The encoder config owns the latent geometry: the DiT fields
-it implies (and `head_dim`, which is `width / heads`) are derived, not
-settable, so every key has more than one legal value. Floats are written
-with repr, which round-trips exactly. Environment variables are never
-consulted.
+it implies (`model.ENCODER_GEOMETRY`, and `head_dim`, which is
+`width / heads`) are derived, not settable, so every key has more than
+one legal value. Floats are written with repr, which round-trips
+exactly. Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -16,23 +16,19 @@ import dataclasses
 from typing import Dict, Mapping, Tuple
 
 from .encoders import EncoderConfig
-from .model import DiTConfig
+from .model import ENCODER_GEOMETRY, DiTConfig
 from .training import TrainConfig
 
 SECTIONS = {"dit": DiTConfig, "enc": EncoderConfig, "train": TrainConfig}
 
-# The DiT fields config text sets; `DiTConfig.for_encoders` derives the rest.
-_FREE_DIT_FIELDS = ("depth", "width", "heads", "n_id", "lambda_audio", "lambda_identity",
-                    "mlp_ratio")
-
 
 def config_schema() -> Dict[str, type]:
-    schema = {}
-    for section, cls in SECTIONS.items():
-        for field in dataclasses.fields(cls):
-            if section != "dit" or field.name in _FREE_DIT_FIELDS:
-                schema[f"{section}.{field.name}"] = {"int": int, "float": float}[field.type]
-    return schema
+    """Each settable `section.key` and its type: every config field but the
+    DiT fields `flat_to_configs` derives."""
+    derived = {*ENCODER_GEOMETRY, "head_dim"}
+    return {f"{section}.{field.name}": {"int": int, "float": float}[field.type]
+            for section, cls in SECTIONS.items() for field in dataclasses.fields(cls)
+            if section != "dit" or field.name not in derived}
 
 
 def format_value(value) -> str:
@@ -72,11 +68,9 @@ def parse_flat(text: str, extra: Mapping[str, type] = {}) -> Dict[str, object]:
 
 def configs_to_flat(dit: DiTConfig, enc: EncoderConfig,
                     train: TrainConfig) -> Dict[str, object]:
-    flat: Dict[str, object] = {f"dit.{name}": getattr(dit, name) for name in _FREE_DIT_FIELDS}
-    for section, obj in (("enc", enc), ("train", train)):
-        for field in dataclasses.fields(obj):
-            flat[f"{section}.{field.name}"] = getattr(obj, field.name)
-    return flat
+    configs = {"dit": dit, "enc": enc, "train": train}
+    return {key: getattr(configs[section], name)
+            for key in config_schema() for section, name in [key.split(".", 1)]}
 
 
 def flat_to_configs(flat: Dict[str, object]

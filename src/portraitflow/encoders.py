@@ -15,7 +15,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .numerics import RngState, Tensor, attention, linear
+from .motion import dense
+from .numerics import RngState, Tensor, attention
 
 
 @dataclass(frozen=True)
@@ -229,10 +230,10 @@ def identity_conv_features(crop: np.ndarray, params: EncoderParams,
 def identity_attend(features: Tensor, params: Dict[str, Tensor]) -> Tensor:
     """Trainable half of the identity encoder: learned queries cross-attend
     to the (frozen) feature map. `features`: [... x n_feat x c_feat]."""
-    k = linear(features, params["id.wk"], params["id.wk_b"])
-    v = linear(features, params["id.wv"], params["id.wv_b"])
+    k = dense(features, params, "id.wk")
+    v = dense(features, params, "id.wv")
     out = attention(params["id.queries"], k, v)
-    return linear(out, params["id.wo"], params["id.wo_b"])
+    return dense(out, params, "id.wo")
 
 
 def crop_face(frame: np.ndarray, config: EncoderConfig) -> np.ndarray:

@@ -8,7 +8,8 @@ the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
 and only each frame's own audio segment in "frame" mode.
 
-Each tensor's name and shape is written once, in `param_shapes`. One init
+Each tensor's name and shape is written once, in `param_shapes`, and each
+linear layer is read by its weight's name with `motion.dense`. One init
 rule (`motion.init_params`): each bias, `ZERO_INIT` head and `motion.expand.w`
 starts at zero, so the network begins as (almost) the identity map with zero
 velocity; every other tensor is `rng.normal(tag, name) * INIT_SCALE`.
@@ -25,10 +26,16 @@ import numpy as np
 
 from .alignment import AudioVideoMap, segment_audio
 from .encoders import EncoderConfig
-from .motion import init_motion_params, init_params, motion_embed
-from .numerics import RngState, Tensor, attention, layer_norm, linear, silu
+from .motion import bias_name, dense, init_motion_params, init_params, motion_embed
+from .numerics import RngState, Tensor, attention, layer_norm, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
+
+# DiT field -> the `EncoderConfig` property it is derived from
+ENCODER_GEOMETRY = {"audio_width": "audio_width", "audio_tokens": "audio_tokens",
+                    "latent_frames": "latent_frames", "latent_h": "latent_h",
+                    "latent_w": "latent_w", "latent_width": "latent_width",
+                    "ref_channels": "latent_width", "id_feat_width": "id_feat_width"}
 
 
 @dataclass(frozen=True)
@@ -71,17 +78,10 @@ class DiTConfig:
 
     @staticmethod
     def for_encoders(enc: EncoderConfig, **overrides) -> "DiTConfig":
-        base = DiTConfig(
-            audio_width=enc.audio_width,
-            audio_tokens=enc.audio_tokens,
-            latent_frames=enc.latent_frames,
-            latent_h=enc.latent_h,
-            latent_w=enc.latent_w,
-            latent_width=enc.latent_width,
-            ref_channels=enc.latent_width,
-            id_feat_width=enc.id_feat_width,
-        )
-        return replace(base, **overrides) if overrides else base
+        """The config with its `ENCODER_GEOMETRY` fields read from `enc`;
+        `overrides`, which may name any field, win."""
+        derived = {field: getattr(enc, prop) for field, prop in ENCODER_GEOMETRY.items()}
+        return DiTConfig(**(derived | overrides))
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ ZERO_INIT = ("out_proj.w", "mod.w", "xa.wo", "xid.wo")  # heads that start at ze
 def param_shapes(config: DiTConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:
     """(name, shape) of each of the DiT's own tensors, derived one at a time
     (the motion network's are `motion_param_shapes`). A linear layer is a
-    [fan-in x fan-out] weight and a bias: `x.w` has `x.b`, `x.wk` has `x.wk_b`."""
+    [fan-in x fan-out] weight and its bias, named by `bias_name`."""
     c, ca, cm = config.width, config.audio_width, config.mlp_width
     yield from (("pos_video", (config.video_tokens, c)), ("pos_audio", (config.audio_tokens, ca)),
                 ("null_audio", (1, ca)), ("null_identity", (1, c)), ("id.queries", (config.n_id, c)))
@@ -165,7 +165,7 @@ def param_shapes(config: DiTConfig) -> Iterator[Tuple[str, Tuple[int, ...]]]:
                                           for i in range(config.depth)
                                           for w, fan_in, fan_out in block)):
         yield w, (fan_in, fan_out)
-        yield (w[:-1] + "b" if w.endswith(".w") else w + "_b"), (fan_out,)
+        yield bias_name(w), (fan_out,)
 
 
 def init_model_params(config: DiTConfig, rng: RngState) -> Dict[str, Tensor]:
@@ -198,12 +198,11 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
     if np.any((t_arr < 0.0) | (t_arr > 1.0)):
         raise ValueError(f"timestep values must lie in [0, 1], got {t_arr}")
     feats = Tensor(sinusoidal_features(t_arr, config.width))
-    h = silu(linear(feats, params["t_mlp1.w"], params["t_mlp1.b"]))
-    t_embed = linear(h, params["t_mlp2.w"], params["t_mlp2.b"])
+    h = silu(dense(feats, params, "t_mlp1.w"))
+    t_embed = dense(h, params, "t_mlp2.w")
 
     gate_in = silu(t_embed + motion_embed(motion, params)).reshape(-1, 1, config.width)
-    return [linear(gate_in, params[f"block{i}.mod.w"], params[f"block{i}.mod.b"])
-            for i in range(config.depth)]
+    return [dense(gate_in, params, f"block{i}.mod.w") for i in range(config.depth)]
 
 
 def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
@@ -216,17 +215,17 @@ def cross_attention_increments(z: Tensor, bundle: ConditioningBundle,
     attend only to that frame's audio segment."""
     b = f"block{index}."
     heads = config.heads
-    q = linear(z, params[b + "attn.wq"], params[b + "attn.wq_b"])
+    q = dense(z, params, b + "attn.wq")
     audio = bundle.audio + params["pos_audio"]
-    ak = linear(audio, params[b + "xa.wk"], params[b + "xa.wk_b"])
-    av = linear(audio, params[b + "xa.wv"], params[b + "xa.wv_b"])
-    ik = linear(bundle.identity, params[b + "xid.wk"], params[b + "xid.wk_b"])
-    iv = linear(bundle.identity, params[b + "xid.wv"], params[b + "xid.wv_b"])
+    ak = dense(audio, params, b + "xa.wk")
+    av = dense(audio, params, b + "xa.wv")
+    ik = dense(bundle.identity, params, b + "xid.wk")
+    iv = dense(bundle.identity, params, b + "xid.wv")
     blocks = bundle.mapping.frames if bundle.mode == "frame" else 1
     att = attention(q, ak, av, heads=heads, blocks=blocks)
-    audio_inc = linear(att, params[b + "xa.wo"], params[b + "xa.wo_b"])
+    audio_inc = dense(att, params, b + "xa.wo")
     id_att = attention(q, ik, iv, heads=heads)
-    id_inc = linear(id_att, params[b + "xid.wo"], params[b + "xid.wo_b"])
+    id_inc = dense(id_att, params, b + "xid.wo")
     return audio_inc, id_inc
 
 
@@ -240,19 +239,18 @@ def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
         mod.narrow(-1, j * c, c) for j in range(6))
 
     h = layer_norm(z, 1.0 + scale1, shift1)
-    q = linear(h, params[b + "attn.wq"], params[b + "attn.wq_b"])
-    k = linear(h, params[b + "attn.wk"], params[b + "attn.wk_b"])
-    v = linear(h, params[b + "attn.wv"], params[b + "attn.wv_b"])
-    sa = linear(attention(q, k, v, heads=config.heads),
-                params[b + "attn.wo"], params[b + "attn.wo_b"])
+    q = dense(h, params, b + "attn.wq")
+    k = dense(h, params, b + "attn.wk")
+    v = dense(h, params, b + "attn.wv")
+    sa = dense(attention(q, k, v, heads=config.heads), params, b + "attn.wo")
     z = z + gate1 * sa
 
     audio_inc, id_inc = cross_attention_increments(z, bundle, params, config, index)
     z = z + config.lambda_audio * audio_inc + config.lambda_identity * id_inc
 
     h2 = layer_norm(z, 1.0 + scale2, shift2)
-    m = silu(linear(h2, params[b + "mlp1.w"], params[b + "mlp1.b"]))
-    m = linear(m, params[b + "mlp2.w"], params[b + "mlp2.b"])
+    m = silu(dense(h2, params, b + "mlp1.w"))
+    m = dense(m, params, b + "mlp2.w")
     return z + gate2 * m
 
 
@@ -266,7 +264,7 @@ def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
             f"expected [B x {config.video_tokens} x c] video tokens, got {z_t.shape}")
 
     x = Tensor(np.concatenate([z_t.data, bundle.reference.data], axis=-1))
-    x = linear(x, params["in_proj.w"], params["in_proj.b"])
+    x = dense(x, params, "in_proj.w")
     x = x + params["pos_video"]
 
     mods = timestep_embedding(t, bundle.motion, params, config)
@@ -275,4 +273,4 @@ def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
 
     c = config.width
     x = layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)))
-    return linear(x, params["out_proj.w"], params["out_proj.b"])
+    return dense(x, params, "out_proj.w")

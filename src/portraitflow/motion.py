@@ -54,22 +54,35 @@ INIT_SCALE = 0.02  # std of every random weight `init_params` draws
 
 def motion_param_shapes(width: int) -> Iterator[Tuple[str, Tuple[int, ...]]]:
     """(name, shape) of each conditioning-network tensor, in layer order."""
-    for layer, fan_in, fan_out in (("mlp1", 2, width), ("mlp2", width, width),
-                                   ("res1", width, width), ("res2", width, width),
-                                   ("expand", width, EXPANSION * width)):
-        yield f"motion.{layer}.w", (fan_in, fan_out)
-        yield f"motion.{layer}.b", (fan_out,)
+    for w, fan_in, fan_out in (("motion.mlp1.w", 2, width), ("motion.mlp2.w", width, width),
+                               ("motion.res1.w", width, width), ("motion.res2.w", width, width),
+                               ("motion.expand.w", width, EXPANSION * width)):
+        yield w, (fan_in, fan_out)
+        yield bias_name(w), (fan_out,)
+
+
+def bias_name(weight: str) -> str:
+    """The bias of the linear layer whose weight is `weight`: `x.w` has
+    `x.b`, `x.wk` has `x.wk_b`."""
+    return weight[:-1] + "b" if weight.endswith(".w") else weight + "_b"
+
+
+def dense(x: Tensor, params: Dict[str, Tensor], weight: str) -> Tensor:
+    """The linear layer `params[weight]`, with its bias `bias_name(weight)`."""
+    return linear(x, params[weight], params[bias_name(weight)])
 
 
 def init_params(shapes: Iterable[Tuple[str, Tuple[int, ...]]], rng: RngState, tag: str,
                 zero: Tuple[str, ...] = ()) -> Dict[str, Tensor]:
-    """The one init rule of the trainable tensors: a bias (`.b`/`_b`) or a
-    tensor whose name ends in one of `zero` starts at zero; any other is
-    `rng.normal(tag, name) * INIT_SCALE`, `name` without a leading `tag.`."""
-    return {name: Tensor(np.zeros(shape) if name.endswith((".b", "_b") + zero) else
+    """The one init rule of the trainable tensors: a bias (the `bias_name` of
+    a name in `shapes`) or a name ending in one of `zero` starts at zero; any
+    other is `rng.normal(tag, name) * INIT_SCALE`, `name` without `tag.`."""
+    shapes = dict(shapes)
+    biases = {bias_name(name) for name in shapes}
+    return {name: Tensor(np.zeros(shape) if name in biases or name.endswith(zero) else
                          rng.normal(tag, name.removeprefix(f"{tag}."), size=shape) * INIT_SCALE,
                          requires_grad=True)
-            for name, shape in shapes}
+            for name, shape in shapes.items()}
 
 
 def init_motion_params(width: int, rng: RngState,
@@ -89,12 +102,12 @@ def motion_embed(omega: Tensor, params: Dict[str, Tensor]) -> Tensor:
     omega = Tensor._wrap(omega)
     squeeze = omega.ndim == 1
     x = omega.reshape(1, 2) if squeeze else omega
-    h = silu(linear(x, params["motion.mlp1.w"], params["motion.mlp1.b"]))
-    h = linear(h, params["motion.mlp2.w"], params["motion.mlp2.b"])
-    r = silu(linear(h, params["motion.res1.w"], params["motion.res1.b"]))
-    h = h + linear(r, params["motion.res2.w"], params["motion.res2.b"])
+    h = silu(dense(x, params, "motion.mlp1.w"))
+    h = dense(h, params, "motion.mlp2.w")
+    r = silu(dense(h, params, "motion.res1.w"))
+    h = h + dense(r, params, "motion.res2.w")
     width = params["motion.mlp2.w"].shape[-1]
-    expanded = linear(h, params["motion.expand.w"], params["motion.expand.b"])
+    expanded = dense(h, params, "motion.expand.w")
     batch = expanded.shape[0]
     pooled = expanded.reshape(batch, EXPANSION, width).mean(axis=1)
     return pooled.reshape(width) if squeeze else pooled

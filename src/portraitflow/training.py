@@ -350,9 +350,10 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     Emits a checkpoint at the stage boundary and at the end, plus a
     newline-delimited loss log. The log keeps only the lines already in
     it for steps before `state.step`, so a resumed run into the same
-    directory logs each step once. Returns the final state, the reports
-    from this call, and the checkpoint paths. A resumed `state` must hold
-    the configs given.
+    directory logs each step once; a fresh run does not read an old log,
+    and a resumed run rejects a kept line with no integer step. Returns
+    the final state, the reports from this call, and the checkpoint
+    paths. A resumed `state` must hold the configs given.
     """
     from .checkpoint import save_checkpoint
 
@@ -369,9 +370,18 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     reports: List[LossReport] = []
     log_path = out_dir / "loss_log.jsonl"
     earlier = []
-    if log_path.exists():  # a line cut by a crash has no newline: dropped
-        earlier = [line for line in log_path.read_text().splitlines(keepends=True)
-                   if line.endswith("\n") and json.loads(line)["step"] < state.step]
+    if state.step and log_path.exists():  # a fresh run keeps nothing of an old log
+        for lineno, line in enumerate(log_path.read_text().splitlines(keepends=True), 1):
+            if not line.endswith("\n"):  # cut by a crash: dropped
+                continue
+            try:
+                logged = json.loads(line)["step"]
+            except (ValueError, KeyError, TypeError):
+                logged = None
+            if type(logged) is not int:
+                raise ValueError(f"{log_path} line {lineno}: no integer loss-log step")
+            if logged < state.step:
+                earlier.append(line)
     with open(log_path, "w") as log:
         log.writelines(earlier)
         for step in range(state.step, train.total_steps):

@@ -130,6 +130,18 @@ class TestResume:
         assert [r["step"] for r in rows] == list(range(cfg.total_steps))
         assert [r["loss"] for r in rows] == [r.loss for r in full_reports]
 
+    @pytest.mark.parametrize("bad", ["{}", '{"step": "x"}', "not json"])
+    def test_resume_rejects_an_unreadable_kept_log_line(self, tiny_samples, tmp_path, bad):
+        cfg = TrainConfig(steps_clip=3, steps_frame=3, batch_size=2, seed=2)
+        _, _, artifacts = run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path)
+        lines = artifacts["log"].read_text().splitlines(keepends=True)
+        lines[1] = bad + "\n"
+        artifacts["log"].write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"loss_log\.jsonl line 2: "):
+            run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path,
+                          state=load_checkpoint(artifacts["clip"]))
+        assert artifacts["log"].read_text() == "".join(lines)
+
     @pytest.mark.parametrize("differs", ["dit", "train"])
     def test_resume_rejects_configs_the_state_does_not_hold(self, tiny_samples, tmp_path,
                                                             differs):

@@ -8,6 +8,8 @@ import pytest
 
 from portraitflow.cli import build_parser, main, write_ppm
 from portraitflow.numerics import load_tensor, save_tensor
+from portraitflow.sampling import SampleConfig
+from portraitflow.synthdata import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,19 @@ def test_config_file_with_flag_override(workspace):
     assert record["config"]["train.steps_frame"] == 1
 
 
+def test_every_train_flag_sets_its_config_key(workspace):
+    flags = {"--steps-clip": ("train.steps_clip", 1), "--steps-frame": ("train.steps_frame", 1),
+             "--batch": ("train.batch_size", 3), "--lr": ("train.lr", 0.002),
+             "--eta": ("train.eta", 0.5), "--seed": ("train.seed", 7),
+             "--depth": ("dit.depth", 1), "--width": ("dit.width", 16)}
+    out = workspace / "all_flags"
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--holdout", "3"]
+                + [arg for flag, (_, value) in flags.items() for arg in (flag, str(value))]) == 0
+    config = json.loads((out / "run_record.json").read_text())["config"]
+    assert {key: config[key] for key, _ in flags.values()} == dict(flags.values())
+
+
 def test_parser_defaults_match_reference_settings():
     parser = build_parser()
     args = parser.parse_args(["sample", "--ckpt", "x", "--ref", "r",
@@ -115,6 +130,30 @@ def test_parser_defaults_match_reference_settings():
     assert args.cfg_scale == 4.5
     assert args.steps == 30
     assert args.motion_l == 0.5 and args.motion_b == 0.5
+    ref = SampleConfig()
+    assert (args.steps, args.cfg_scale, args.motion_l, args.motion_b, args.seed, args.mode,
+            args.drop_all_conditions) == (ref.steps, ref.cfg_scale, ref.omega_l, ref.omega_b,
+                                          ref.seed, ref.mode, ref.drop_all_conditions)
+    args = parser.parse_args(["eval", "--ckpt", "x", "--data", "d", "--out", "o"])
+    assert (args.steps, args.cfg_scale, args.seed) == (ref.steps, ref.cfg_scale, ref.seed)
+    args = parser.parse_args(["gen-data", "--out", "o"])
+    synth = SynthConfig()
+    assert (args.frames, args.size, args.size, args.identities) \
+        == (synth.frames, synth.height, synth.width, synth.identities)
+
+
+@pytest.mark.parametrize("old", ["{}", '{"step": "x"}', "not json"])
+def test_fresh_train_does_not_read_an_old_loss_log(workspace, tmp_path, old):
+    # reading it, a fresh run died on a KeyError or TypeError traceback, or
+    # exited 2, though it keeps nothing of the file
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "loss_log.jsonl").write_text(old + "\n")
+    assert main(["train", "--data", str(workspace / "data"), "--out", str(out),
+                 "--steps-clip", "1", "--steps-frame", "1", "--batch", "2",
+                 "--holdout", "3", "--depth", "1", "--width", "16"]) == 0
+    lines = (out / "loss_log.jsonl").read_text().splitlines()
+    assert [json.loads(line)["step"] for line in lines] == [0, 1]
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf"])

@@ -44,6 +44,17 @@ def _names(node: ast.AST) -> set:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def test_dense_is_the_only_caller_of_linear():
+    # a linear layer is read by its weight's name through `dense`, which
+    # names the bias; a direct `linear` call would spell the bias again
+    callers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            callers += [(path.name, getattr(node, "name", None)) for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and "linear" in _names(call.func)]
+    assert callers == [("motion.py", "dense")]
+
+
 def test_every_src_definition_has_a_src_user():
     # a name counts as used when src/ code other than its own definition
     # names it; imports and `__all__` strings are not names

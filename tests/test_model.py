@@ -20,7 +20,7 @@ from portraitflow.model import (
     sinusoidal_features,
     timestep_embedding,
 )
-from portraitflow.motion import motion_param_shapes
+from portraitflow.motion import bias_name, motion_param_shapes
 from portraitflow.numerics import RngState, Tensor, attention, grad_check
 from tiny_configs import TINY_DIT as TINY
 
@@ -267,13 +267,16 @@ class TestModelForward:
 
     def test_one_init_rule_builds_the_table(self):
         # every tensor is built with its table shape, and is all zeros
-        # exactly when it is a bias, a ZERO_INIT head or the motion expansion
+        # exactly when it is a bias, a ZERO_INIT head or the motion expansion;
+        # the biases, named by `bias_name`, are the table's 1-D tensors
         for config in (TINY, DiTConfig()):
             params = init_model_params(config, RngState(0))
-            table = chain(param_shapes(config), motion_param_shapes(config.width))
-            assert {n: p.shape for n, p in params.items()} == dict(table)
+            table = dict(chain(param_shapes(config), motion_param_shapes(config.width)))
+            assert {n: p.shape for n, p in params.items()} == table
+            biases = {bias_name(n) for n in table} & set(table)
+            assert biases == {n for n, shape in table.items() if len(shape) == 1}
             for name, p in params.items():
-                zero = name.endswith((".b", "_b", "motion.expand.w") + ZERO_INIT)
+                zero = name in biases or name.endswith(("motion.expand.w",) + ZERO_INIT)
                 assert (not p.data.any()) == zero, name
 
     def test_end_to_end_gradient_check(self, tiny_params):

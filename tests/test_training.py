@@ -340,6 +340,17 @@ class TestTrainLoop:
             train_step(state, data, step)
         assert max(counts["clip"]) <= 210 and max(counts["frame"]) <= 212, counts
 
+    @pytest.mark.parametrize("stage", ["clip", "frame"])
+    def test_every_inventory_tensor_gets_an_adam_moment(self, tiny_samples, stage):
+        # Adam keeps moments only for tensors with a gradient, so this holds
+        # when the forward reads every declared tensor (no misnamed bias)
+        cfg = self._config(steps_clip=int(stage == "clip"), steps_frame=int(stage == "frame"))
+        state = init_trainer(TINY_DIT, TINY_ENC, cfg, tiny_samples)
+        data = prepare_training_tensors(tiny_samples, state.enc_params, TINY_ENC)
+        assert train_step(state, data, 0).stage == stage
+        assert len(state.params) == 81
+        assert set(state.opt.m) == set(state.params)
+
     def test_single_sample_overfit(self, tiny_samples):
         cfg = self._config(steps_clip=50, steps_frame=0, batch_size=1, lr=1e-3,
                            dropout_audio=0.0, dropout_identity=0.0,
