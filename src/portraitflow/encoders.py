@@ -36,7 +36,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            low = 0 if f.name in ("crop_row", "crop_col") else 1
+            # two stride-2 convs leave no identity feature from a crop under 4 pixels
+            low = {"crop_row": 0, "crop_col": 0, "crop_size": 4}.get(f.name, 1)
             if getattr(self, f.name) < low:
                 raise ValueError(f"{f.name} must be at least {low}, got {getattr(self, f.name)}")
         if self.height % self.patch or self.width % self.patch:

@@ -238,7 +238,7 @@ def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
     shift1, scale1, gate1, shift2, scale2, gate2 = (
         mod.narrow(-1, j * c, c) for j in range(6))
 
-    h = layer_norm(z, 1.0 + scale1, shift1)
+    h = layer_norm(z, scale1, shift1)
     q = dense(h, params, b + "attn.wq")
     k = dense(h, params, b + "attn.wk")
     v = dense(h, params, b + "attn.wv")
@@ -248,7 +248,7 @@ def dit_block(z: Tensor, bundle: ConditioningBundle, mod: Tensor,
     audio_inc, id_inc = cross_attention_increments(z, bundle, params, config, index)
     z = z + config.lambda_audio * audio_inc + config.lambda_identity * id_inc
 
-    h2 = layer_norm(z, 1.0 + scale2, shift2)
+    h2 = layer_norm(z, scale2, shift2)
     m = silu(dense(h2, params, b + "mlp1.w"))
     m = dense(m, params, b + "mlp2.w")
     return z + gate2 * m
@@ -271,6 +271,6 @@ def model_forward(z_t: Tensor, t, bundle: ConditioningBundle,
     for i in range(config.depth):
         x = dit_block(x, bundle, mods[i], params, config, i)
 
-    c = config.width
-    x = layer_norm(x, Tensor(np.ones(c)), Tensor(np.zeros(c)))
+    zero = Tensor(np.zeros(config.width))
+    x = layer_norm(x, zero, zero)
     return dense(x, params, "out_proj.w")

@@ -66,32 +66,33 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(out_data, (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
-
-    Zero-variance rows normalize to zeros (`LAYER_NORM_EPS` keeps the
-    denominator finite), so constant inputs map to `bias`.
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then modulate as
+    adaLN does, xhat * (1 + scale) + shift, in one node. Zero-variance rows
+    normalize to zeros (`LAYER_NORM_EPS` keeps the denominator finite), so
+    constant inputs map to `shift`.
     """
-    x, gain, bias = Tensor._wrap(x), Tensor._wrap(gain), Tensor._wrap(bias)
+    x, scale, shift = Tensor._wrap(x), Tensor._wrap(scale), Tensor._wrap(shift)
     width = x.data.shape[-1]
-    if gain.data.shape[-1] != width or bias.data.shape[-1] != width:
+    if scale.data.shape[-1] != width or shift.data.shape[-1] != width:
         raise ValueError(
-            f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
+            f"layer_norm scale/shift shapes {scale.data.shape}/{shift.data.shape} "
             f"do not match normalized width {width}")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
-    out_data = xhat * gain.data + bias.data
+    gain = 1.0 + scale.data
+    out_data = xhat * gain + shift.data
 
     def backward(g):
-        gxhat = g * gain.data
+        gxhat = g * gain
         m1 = gxhat.mean(axis=-1, keepdims=True)
         m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
         x._accumulate(inv * (gxhat - m1 - xhat * m2))
-        gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        bias._accumulate(_unbroadcast(g, bias.data.shape))
+        scale._accumulate(_unbroadcast(g * xhat, scale.data.shape))
+        shift._accumulate(_unbroadcast(g, shift.data.shape))
 
-    return Tensor._result(out_data, (x, gain, bias), backward)
+    return Tensor._result(out_data, (x, scale, shift), backward)
 
 
 def silu(x: Tensor) -> Tensor:

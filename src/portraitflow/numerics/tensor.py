@@ -115,8 +115,11 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents: Sequence["Tensor"], backward) -> "Tensor":
-        if _GRAD.get() and any(p.requires_grad or p._parents for p in parents):
-            return Tensor(data, _parents=tuple(parents), _backward=backward)
+        """The op's node; its parents are only the operands a gradient reaches."""
+        if _GRAD.get():
+            parents = tuple(p for p in parents if p.requires_grad or p._parents)
+            if parents:
+                return Tensor(data, _parents=parents, _backward=backward)
         return Tensor(data)
 
     def backward(self) -> None:
@@ -205,12 +208,7 @@ class Tensor:
         return self._result(out_data, (a, b), backward)
 
     def square(self) -> "Tensor":
-        a = self
-
-        def backward(g):
-            a._accumulate(g * (2.0 * a.data))
-
-        return self._result(a.data * a.data, (a,), backward)
+        return self * self
 
     # ------------------------------------------------------------------
     # shape ops

@@ -302,20 +302,25 @@ def write_dataset(specs: Sequence[SceneSpec], out_dir,
 
 def read_dataset(data_dir) -> Tuple[List[Sample], SynthConfig]:
     """Load a stored corpus, verifying every file checksum. A manifest
-    with a missing, unknown or wrongly typed entry raises ValueError."""
+    with a missing, unknown or wrongly typed entry, or a sample `dir` that
+    is not a plain directory name, raises ValueError."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     try:
         config = SynthConfig(**manifest["config"])
-        samples = [_read_sample(data_dir, record, config) for record in manifest["samples"]]
+        samples = [_read_sample(data_dir, i, record, config)
+                   for i, record in enumerate(manifest["samples"])]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{manifest_path}: malformed manifest "
                          f"({type(exc).__name__}: {exc})") from exc
     return samples, config
 
 
-def _read_sample(data_dir: Path, record: Dict, config: SynthConfig) -> Sample:
+def _read_sample(data_dir: Path, index: int, record: Dict, config: SynthConfig) -> Sample:
+    if record["dir"] in ("", ".", "..") or Path(record["dir"]).name != record["dir"]:
+        raise ValueError(f"manifest sample {index}: dir {record['dir']!r} is not "
+                         f"the name of a directory inside the corpus")
     sub = data_dir / record["dir"]
     F, H, W = config.frames, config.height, config.width
     shapes = {"video": (F, H, W, 3), "envelope": (config.envelope_samples,),

@@ -340,6 +340,25 @@ def test_malformed_manifest_fails_cleanly(workspace, capsys, tmp_path, edit):
     assert len(err) == 1 and err[0].startswith("error:") and "manifest" in err[0], err
 
 
+@pytest.mark.parametrize("outside", ["absolute", "dot-dot"])
+def test_manifest_dir_outside_the_corpus_rejected(workspace, capsys, tmp_path, outside):
+    # record 0 names a checksum-true copy of its sample outside the corpus;
+    # the parent loaded it with the other samples and trained
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    shutil.copytree(data / "sample_00000", tmp_path / "elsewhere")
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["samples"][0]["dir"] = {"absolute": str(tmp_path / "elsewhere"),
+                                     "dot-dot": "../elsewhere"}[outside]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--holdout", "3",
+                 "--steps-clip", "1", "--steps-frame", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest sample 0: dir"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2", "11"])
 def test_eval_count_outside_corpus_rejected(workspace, capsys, count):
     out = workspace / f"eval_count_{count}"
@@ -374,6 +393,29 @@ def test_size_below_one_in_config_file_rejected(workspace, capsys, line, field):
                  "--config", str(cfg), "--holdout", "3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config file", "checkpoint header"])
+def test_crop_under_four_pixels_rejected_by_name(workspace, capsys, tmp_path, source):
+    # two stride-2 convs leave no identity feature from a 3-pixel crop; the
+    # parent exited 2 with numpy's "zero-size array to reduction operation"
+    data, out = workspace / "data", tmp_path / "out"
+    if source == "config file":
+        cfg = tmp_path / "crop.cfg"
+        cfg.write_text("train.steps_clip = 1\ntrain.steps_frame = 0\nenc.crop_size = 3\n")
+        args = ["train", "--data", str(data), "--config", str(cfg), "--holdout", "3"]
+    else:
+        raw = (workspace / "run" / "checkpoint_final.pfck").read_bytes()
+        assert raw.count(b"enc.crop_size = 16\n") == 1
+        ckpt = tmp_path / "crop3.pfck"
+        # the same header length: the value is padded, not shortened
+        ckpt.write_bytes(raw.replace(b"enc.crop_size = 16\n", b"enc.crop_size =  3\n"))
+        args = ["sample", "--ckpt", str(ckpt), "--ref", str(data / "sample_00008" / "video.pft"),
+                "--audio", str(data / "sample_00008" / "envelope.pft"), "--steps", "1"]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: crop_size must be at least 4, got 3"], err
     assert not out.exists()
 
 

@@ -1,0 +1,29 @@
+"""The fixed-run fingerprint tool, and the graph size it reports at the
+default config.
+
+No hash is pinned: the hashes depend on the BLAS build. The graph counts
+and model calls do not, so they hold the size of a train step's autodiff
+graph (nodes reachable from the loss) where a regression shows.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+
+
+def test_fingerprint_reports_hashes_graph_nodes_and_model_calls():
+    run = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    hashes = [line.split() for line in lines if re.fullmatch(r"\w+ +[0-9a-f]{64}", line)]
+    assert [name for name, _ in hashes] == [
+        "prepared", "losses", "params", "videos", "rows", "checkpoint", "all"], run.stdout
+    # only what a gradient reaches: no constant operand is a graph node
+    assert any(line.startswith("graph nodes per clip step: max 307,") for line in lines), lines
+    assert any(line.startswith("graph nodes per frame step: max 308,") for line in lines), lines
+    for mode in ("clip", "frame"):
+        assert f"model_forward calls per {mode}-mode sample(): 4 at 4 steps" in lines, lines

@@ -51,24 +51,24 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_row_maps_to_zero_pre_affine(self):
         x = Tensor(np.full((2, 4), 3.7))
-        out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        out = layer_norm(x, Tensor(np.zeros(4)), Tensor(np.zeros(4)))
         assert np.allclose(out.numpy(), 0.0)
 
     def test_two_point_row_is_fixed_point(self):
-        # mean 0, population variance 1 -> unchanged up to epsilon
-        out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        # mean 0, population variance 1 -> unchanged up to epsilon at scale 0
+        out = layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.numpy(), [[1.0, -1.0]], atol=1e-4)
 
-    def test_zero_gain_yields_bias(self):
+    def test_scale_of_minus_one_yields_shift(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((5, 6)))
-        out = layer_norm(x, Tensor(np.zeros(6)), Tensor(np.full(6, 0.25)))
+        out = layer_norm(x, Tensor(np.full(6, -1.0)), Tensor(np.full(6, 0.25)))
         assert np.allclose(out.numpy(), 0.25)
 
     def test_row_statistics(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((10, 32)) * 5 + 2)
-        out = layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).numpy()
+        out = layer_norm(x, Tensor(np.zeros(32)), Tensor(np.zeros(32))).numpy()
         assert np.abs(out.mean(axis=-1)).max() < 1e-5
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
 
@@ -77,12 +77,12 @@ class TestLayerNorm:
         for seed in range(3):
             rng = np.random.default_rng(seed)
             x = (rng.standard_normal((8, 128, 64)) * 3 + 1).astype(np.float32)
-            gain = rng.standard_normal(64).astype(np.float32)
-            bias = rng.standard_normal(64).astype(np.float32)
+            scale = rng.standard_normal(64).astype(np.float32)
+            shift = rng.standard_normal(64).astype(np.float32)
             mu = x.mean(axis=-1, keepdims=True)
             var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-            expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain + bias
-            out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).numpy()
+            expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * (1.0 + scale) + shift
+            out = layer_norm(Tensor(x), Tensor(scale), Tensor(shift)).numpy()
             assert np.array_equal(out, expected)
 
     def test_shape_mismatch(self):
@@ -102,7 +102,7 @@ class TestLayerNorm:
             assert err <= 1e-4
 
     def test_backward_with_per_sample_affine(self):
-        # the block modulation: layer_norm(z, 1 + scale, shift), [B x 1 x c] each
+        # the block modulation: layer_norm(z, scale, shift), [B x 1 x c] each
         for seed in range(5):
             rng = np.random.default_rng(seed)
             params = {

@@ -314,31 +314,45 @@ class TestTrainLoop:
         stages = [train_step(state, data, s).stage for s in range(cfg.total_steps)]
         assert stages == ["clip"] * 3 + ["frame"] * 2
 
-    def test_graph_nodes_per_step(self, tiny_samples, monkeypatch):
-        # nodes reachable from the loss, counted as bench/run.py counts them
-        def graph_nodes(loss):
-            seen, todo = {id(loss)}, [loss]
+    def _step_graphs(self, cfg, tiny_samples, monkeypatch):
+        """Run `cfg`'s train steps; per stage, the nodes reachable from each
+        step's loss through `_parents`, walked as bench/run.py walks them."""
+        def reachable(loss):
+            seen, todo = {id(loss): loss}, [loss]
             while todo:
                 for parent in todo.pop()._parents:
                     if id(parent) not in seen:
-                        seen.add(id(parent))
+                        seen[id(parent)] = parent
                         todo.append(parent)
-            return len(seen)
+            return list(seen.values())
 
-        cfg = self._config()
         state = init_trainer(TINY_DIT, TINY_ENC, cfg, tiny_samples)
         data = prepare_training_tensors(tiny_samples, state.enc_params, TINY_ENC)
-        counts = {"clip": [], "frame": []}
+        graphs = {"clip": [], "frame": []}
         backward = Tensor.backward
 
-        def counting_backward(loss):
-            counts[cfg.stage_at(state.step)].append(graph_nodes(loss))
+        def recording_backward(loss):
+            graphs[cfg.stage_at(state.step)].append(reachable(loss))
             backward(loss)
 
-        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        monkeypatch.setattr(Tensor, "backward", recording_backward)
         for step in range(cfg.total_steps):
             train_step(state, data, step)
-        assert max(counts["clip"]) <= 210 and max(counts["frame"]) <= 212, counts
+        return graphs
+
+    def test_graph_nodes_per_step(self, tiny_samples, monkeypatch):
+        graphs = self._step_graphs(self._config(), tiny_samples, monkeypatch)
+        counts = {stage: [len(g) for g in steps] for stage, steps in graphs.items()}
+        assert max(counts["clip"]) <= 185 and max(counts["frame"]) <= 186, counts
+
+    def test_graph_holds_only_what_a_gradient_reaches(self, tiny_samples, monkeypatch):
+        # constant operands (the 1.0s, lambda weights, masks, targets and
+        # dropout keeps) are left out of `_parents`, so backward never walks one
+        cfg = self._config(steps_clip=1, steps_frame=1)
+        graphs = self._step_graphs(cfg, tiny_samples, monkeypatch)
+        for stage, (graph,) in graphs.items():
+            constants = [n for n in graph if not (n.requires_grad or n._parents)]
+            assert not constants, f"{stage} step: {len(constants)} constants in the graph"
 
     @pytest.mark.parametrize("stage", ["clip", "frame"])
     def test_every_inventory_tensor_gets_an_adam_moment(self, tiny_samples, stage):
