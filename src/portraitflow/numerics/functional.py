@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, _targets, _unbroadcast
 
 LAYER_NORM_EPS = 1e-5
 
@@ -33,37 +33,44 @@ def softmax_lastaxis(x: Tensor) -> Tensor:
     x = Tensor._wrap(x)
     if x.data.shape[-1] < 1:
         raise ValueError(f"softmax needs a non-empty last axis, got shape {x.data.shape}")
+    (tx,) = _targets(x)
     out_data = _softmax_inplace(x.data.copy(), axis=-1)
 
     def backward(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner))
+        tx._accumulate(out_data * (g - inner))
 
-    return Tensor._result(out_data, (x,), backward)
+    return Tensor._result(out_data, (tx,), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for `x` [... x c_in], `w` [c_in x c_out], `b` [c_out], as
     one node. The leading axes are flattened, so the forward is one GEMM;
-    the backward is g w^T for x (skipped when x is a constant), one
-    x^T g GEMM for w and a row sum for b."""
+    the backward is g w^T for x, one x^T g GEMM for w and a row sum for b,
+    each skipped for a constant, so x is kept only when w takes a gradient."""
     x, w, b = Tensor._wrap(x), Tensor._wrap(w), Tensor._wrap(b)
     c_in, c_out = w.data.shape
     if x.data.shape[-1] != c_in or b.data.shape != (c_out,):
         raise ValueError(f"linear shapes do not fit: x {x.data.shape}, "
                          f"w {w.data.shape}, b {b.data.shape}")
+    tx, tw, tb = _targets(x, w, b)
     x2 = x.data.reshape(-1, c_in)
     out_data = (x2 @ w.data).reshape(x.data.shape[:-1] + (c_out,))
     out_data += b.data
+    x_shape = x.data.shape
+    x_kept = x2 if tw is not None else None
+    w_kept = w.data if tx is not None else None
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        if x.requires_grad or x._parents:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
-        w._accumulate(x2.T @ g2)
-        b._accumulate(g2.sum(axis=0))
+        if tx is not None:
+            tx._accumulate((g2 @ w_kept.T).reshape(x_shape))
+        if tw is not None:
+            tw._accumulate(x_kept.T @ g2)
+        if tb is not None:
+            tb._accumulate(g2.sum(axis=0))
 
-    return Tensor._result(out_data, (x, w, b), backward)
+    return Tensor._result(out_data, (tx, tw, tb), backward)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
@@ -78,33 +85,40 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
         raise ValueError(
             f"layer_norm scale/shift shapes {scale.data.shape}/{shift.data.shape} "
             f"do not match normalized width {width}")
+    tx, tscale, tshift = _targets(x, scale, shift)
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     gain = 1.0 + scale.data
     out_data = xhat * gain + shift.data
+    scale_shape, shift_shape = scale.data.shape, shift.data.shape
 
     def backward(g):
-        gxhat = g * gain
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (gxhat - m1 - xhat * m2))
-        scale._accumulate(_unbroadcast(g * xhat, scale.data.shape))
-        shift._accumulate(_unbroadcast(g, shift.data.shape))
+        if tx is not None:
+            gxhat = g * gain
+            m1 = gxhat.mean(axis=-1, keepdims=True)
+            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+            tx._accumulate(inv * (gxhat - m1 - xhat * m2))
+        if tscale is not None:
+            tscale._accumulate(_unbroadcast(g * xhat, scale_shape))
+        if tshift is not None:
+            tshift._accumulate(_unbroadcast(g, shift_shape))
 
-    return Tensor._result(out_data, (x, scale, shift), backward)
+    return Tensor._result(out_data, (tx, tscale, tshift), backward)
 
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     x = Tensor._wrap(x)
+    (tx,) = _targets(x)
     sig = 1.0 / (1.0 + np.exp(-x.data))
-    out_data = x.data * sig
+    # the backward reads only the slope, not x and sig
+    slope = sig * (1.0 + x.data * (1.0 - sig)) if tx is not None else None
 
     def backward(g):
-        x._accumulate(g * (sig * (1.0 + x.data * (1.0 - sig))))
+        tx._accumulate(g * slope)
 
-    return Tensor._result(out_data, (x,), backward)
+    return Tensor._result(x.data * sig, (tx,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
@@ -129,6 +143,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
     taken over the head width), dQ = (dS^T)^T K and dK = dS^T Q.
     """
     q, k, v = Tensor._wrap(q), Tensor._wrap(k), Tensor._wrap(v)
+    tq, tk, tv = _targets(q, k, v)
     width = q.data.shape[-1]
     if heads < 1 or width < 1 or width % heads:
         raise ValueError(f"attention width {width} does not split into {heads} heads")
@@ -164,16 +179,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Optional[Tensor] = None,
             raise ValueError("attention mask blocks an entire query row")
         weights_t += mask.T
     _softmax_inplace(weights_t, axis=-2)
-    out_heads = np.swapaxes(weights_t, -1, -2) @ vh
+    out_data = merge(np.swapaxes(weights_t, -1, -2) @ vh)
 
     def backward(g):
         g = split(g)
-        v._accumulate(merge(_unbroadcast(weights_t @ g, vh.shape)))
+        if tv is not None:
+            tv._accumulate(merge(_unbroadcast(weights_t @ g, vh.shape)))
         g = g * scale  # scale folded into dO
         ds_t = vh @ np.swapaxes(g, -1, -2)
-        ds_t -= np.einsum("...qd,...qd->...q", g, out_heads)[..., None, :]
+        ds_t -= np.einsum("...qd,...qd->...q", g, split(out_data))[..., None, :]
         ds_t *= weights_t
-        q._accumulate(merge(_unbroadcast(np.swapaxes(ds_t, -1, -2) @ kh, qh.shape)))
-        k._accumulate(merge(_unbroadcast(ds_t @ qh, kh.shape)))
+        if tq is not None:
+            tq._accumulate(merge(_unbroadcast(np.swapaxes(ds_t, -1, -2) @ kh, qh.shape)))
+        if tk is not None:
+            tk._accumulate(merge(_unbroadcast(ds_t @ qh, kh.shape)))
 
-    return Tensor._result(merge(out_heads), (q, k, v), backward)
+    return Tensor._result(out_data, (tq, tk, tv), backward)

@@ -2,8 +2,13 @@
 
 Tensors hold row-major numpy arrays in the calling thread's compute
 dtype (float32 by default, float64 inside a `precision("f64")` block, as
-gradient checks use). Gradients are accumulated, never overwritten, so
-shared parameters work. A node adopts the first gradient array it is sent
+gradient checks use). An op's result is a `Tensor` holding its `data` and,
+when a gradient reaches one of its operands, a small graph node: the
+node's gradient, its operands' nodes and a backward closure that keeps
+only the arrays and shapes it reads. So an op result's data is freed once
+the caller drops the tensor, unless some backward reads it; a leaf is its
+own node. Gradients are accumulated, never overwritten, so shared
+parameters work. A node adopts the first gradient array it is sent
 instead of copying it; `backward()` frees every intermediate node's
 gradient once used, so only leaves hold one afterwards.
 """
@@ -55,26 +60,70 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    """A node in the computation graph.
+class _Node:
+    """The graph record of an op result: its gradient, its operands' nodes
+    and the backward that sends them theirs. It holds no `data`."""
 
-    `data` is a numpy array in the run-wide dtype. Setting
-    `requires_grad=True` marks a leaf whose `grad` is filled in by
-    `backward()` on a downstream scalar.
-    """
+    __slots__ = ("grad", "_parents", "_backward")
+    requires_grad = False
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
-
-    def __init__(self, data, requires_grad: bool = False,
-                 _parents: tuple = (), _backward=None):
-        self.data = np.asarray(data, dtype=_DTYPE.get())
+    def __init__(self, parents: tuple, backward):
         self.grad: Optional[np.ndarray] = None
+        self._parents = parents
+        self._backward = backward
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        """Add `grad` into `self.grad`. The first array is adopted, not
+        copied: the upstream gradient it may view is dead once the calling
+        backward returns."""
+        if self.grad is None:
+            self.grad = grad
+        else:
+            self.grad += grad
+
+
+def _targets(*operands: "Tensor") -> tuple:
+    """Where each operand's gradient goes: its node, the leaf itself when it
+    has `requires_grad`, or None for a constant (and for all under
+    `no_grad`). A backward reads an array only for a non-None target."""
+    if not _GRAD.get():
+        return (None,) * len(operands)
+    return tuple(t._node if t._node is not None else t if t.requires_grad else None
+                 for t in operands)
+
+
+class Tensor:
+    """A numpy array in the run-wide dtype and, for an op result that a
+    gradient reaches, its graph node. Setting `requires_grad=True` marks a
+    leaf whose `grad` is filled in by `backward()` on a downstream scalar;
+    a leaf is its own node."""
+
+    __slots__ = ("data", "requires_grad", "_node", "_grad")
+    _backward = None  # a leaf sends no gradient on
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=_DTYPE.get())
         self.requires_grad = bool(requires_grad)
-        self._parents = _parents
-        self._backward = _backward
+        self._node: Optional[_Node] = None
+        self._grad: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # bookkeeping
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self) -> tuple:
@@ -92,15 +141,12 @@ class Tensor:
         return self.data
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add `grad` into `self.grad`; a constant leaf keeps none. The
-        first array is adopted, not copied: the upstream gradient it may
-        view is dead once the calling backward returns."""
-        if not (self.requires_grad or self._parents):
-            return
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=False)
+        """Add `grad` into this leaf's `grad`, in the leaf's dtype; the first
+        array is adopted, as a node adopts it."""
+        if self._grad is None:
+            self._grad = grad.astype(self.data.dtype, copy=False)
         else:
-            self.grad += grad
+            self._grad += grad
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -114,13 +160,16 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     @staticmethod
-    def _result(data, parents: Sequence["Tensor"], backward) -> "Tensor":
-        """The op's node; its parents are only the operands a gradient reaches."""
+    def _result(data, targets: Sequence, backward) -> "Tensor":
+        """The op's result; its node's parents are the operands' non-None
+        gradient targets, and it has no node when there are none. It tests
+        `_GRAD` first, so a `no_grad` forward does no extra work."""
+        out = Tensor(data)
         if _GRAD.get():
-            parents = tuple(p for p in parents if p.requires_grad or p._parents)
+            parents = tuple(t for t in targets if t is not None)
             if parents:
-                return Tensor(data, _parents=parents, _backward=backward)
-        return Tensor(data)
+                out._node = _Node(parents, backward)
+        return out
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the graph. Leaves keep
@@ -129,9 +178,10 @@ class Tensor:
         sends only its own gradient."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
-        order: list[Tensor] = []
+        root = self if self._node is None else self._node
+        order: list = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -144,7 +194,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -155,57 +205,71 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = self._wrap(other)
-        a, b = self, other
-        out_data = a.data + b.data
+        ta, tb = _targets(self, other)
+        a_shape, b_shape = self.data.shape, other.data.shape
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            gb = _unbroadcast(g, b.data.shape)
-            # unsummed, gb views g, which `a` may have adopted
-            b._accumulate(gb.copy() if gb.size == g.size else gb)
+            if ta is not None:
+                ta._accumulate(_unbroadcast(g, a_shape))
+            if tb is not None:
+                gb = _unbroadcast(g, b_shape)
+                # unsummed, gb views g, which `a` may have adopted
+                tb._accumulate(gb.copy() if gb.size == g.size else gb)
 
-        return self._result(out_data, (a, b), backward)
+        return self._result(self.data + other.data, (ta, tb), backward)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Tensor":
         other = self._wrap(other)
-        a, b = self, other
-        out_data = a.data - b.data
+        ta, tb = _targets(self, other)
+        a_shape, b_shape = self.data.shape, other.data.shape
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            if ta is not None:
+                ta._accumulate(_unbroadcast(g, a_shape))
+            if tb is not None:
+                tb._accumulate(_unbroadcast(-g, b_shape))
 
-        return self._result(out_data, (a, b), backward)
+        return self._result(self.data - other.data, (ta, tb), backward)
 
     def __mul__(self, other) -> "Tensor":
         other = self._wrap(other)
-        a, b = self, other
-        out_data = a.data * b.data
+        ta, tb = _targets(self, other)
+        a_shape, b_shape = self.data.shape, other.data.shape
+        # each operand's gradient reads the other's data
+        a_data = self.data if tb is not None else None
+        b_data = other.data if ta is not None else None
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            if ta is not None:
+                ta._accumulate(_unbroadcast(g * b_data, a_shape))
+            if tb is not None:
+                tb._accumulate(_unbroadcast(g * a_data, b_shape))
 
-        return self._result(out_data, (a, b), backward)
+        return self._result(self.data * other.data, (ta, tb), backward)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> "Tensor":
         other = self._wrap(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
-            raise ValueError(f"matmul needs 2d+ operands, got {a.data.shape} and {b.data.shape}")
-        if a.data.shape[-1] != b.data.shape[-2]:
-            raise ValueError(f"matmul inner extents differ: {a.data.shape} x {b.data.shape}")
-        out_data = a.data @ b.data
+        a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError(f"matmul needs 2d+ operands, got {a.shape} and {b.shape}")
+        if a.shape[-1] != b.shape[-2]:
+            raise ValueError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+        ta, tb = _targets(self, other)
+        a_shape, b_shape = a.shape, b.shape
+        a_t = np.swapaxes(a, -1, -2) if tb is not None else None
+        b_t = np.swapaxes(b, -1, -2) if ta is not None else None
 
         def backward(g):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if ta is not None:
+                ta._accumulate(_unbroadcast(g @ b_t, a_shape))
+            if tb is not None:
+                tb._accumulate(_unbroadcast(a_t @ g, b_shape))
 
-        return self._result(out_data, (a, b), backward)
+        return self._result(a @ b, (ta, tb), backward)
 
     def square(self) -> "Tensor":
         return self * self
@@ -216,51 +280,52 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        out_data = a.data.reshape(shape)
+        (ta,) = _targets(self)
+        a_shape = self.data.shape
 
         def backward(g):
-            a._accumulate(g.reshape(a.data.shape))
+            ta._accumulate(g.reshape(a_shape))
 
-        return self._result(out_data, (a,), backward)
+        return self._result(self.data.reshape(shape), (ta,), backward)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
-        a = self
+        (ta,) = _targets(self)
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))
 
         def backward(g):
-            a._accumulate(np.transpose(g, inverse))
+            ta._accumulate(np.transpose(g, inverse))
 
-        return self._result(np.transpose(a.data, axes), (a,), backward)
+        return self._result(np.transpose(self.data, axes), (ta,), backward)
 
     def narrow(self, axis: int, start: int, length: int) -> "Tensor":
         """Contiguous slice [start, start+length) along `axis`."""
-        a = self
-        index = [slice(None)] * a.data.ndim
+        (ta,) = _targets(self)
+        a_shape, dtype = self.data.shape, self.data.dtype
+        index = [slice(None)] * self.data.ndim
         index[axis] = slice(start, start + length)
         index = tuple(index)
 
         def backward(g):
-            full = np.zeros_like(a.data)
+            full = np.zeros(a_shape, dtype)
             full[index] = g
-            a._accumulate(full)
+            ta._accumulate(full)
 
-        return self._result(a.data[index], (a,), backward)
+        return self._result(self.data[index], (ta,), backward)
 
     # ------------------------------------------------------------------
     # reductions
 
     def sum(self, axis=None) -> "Tensor":
-        a = self
-        out_data = a.data.sum(axis=axis)
+        (ta,) = _targets(self)
+        a_shape = self.data.shape
 
         def backward(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+            ta._accumulate(np.broadcast_to(g, a_shape).copy())
 
-        return self._result(out_data, (a,), backward)
+        return self._result(self.data.sum(axis=axis), (ta,), backward)
 
     def mean(self, axis=None) -> "Tensor":
         count = self.data.size if axis is None else np.prod(

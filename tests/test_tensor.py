@@ -1,6 +1,7 @@
 """Autograd core: arithmetic, shape ops, reductions, gradcheck."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +135,31 @@ def test_backward_frees_intermediate_grads_and_keeps_leaf_grads():
     loss.backward()
     assert all(node.grad is None for node in (h, s, loss))
     assert w.grad is not None and b.grad is not None and x.grad is None
+
+
+def test_op_result_data_no_backward_reads_is_freed_while_the_graph_lives():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 3)))
+    params = {"w": _random_tensor(rng, (2, 3)), "b": _random_tensor(rng, (3,))}
+    freed = []
+
+    def fn(p):
+        h = x * p["w"]
+        y = h + p["b"]  # the add's backward reads shapes only
+        freed.append(weakref.ref(h.data))
+        del h
+        # only the constant's gradient would read y's data, and it takes none
+        s = y * Tensor(2.0)
+        freed.append(weakref.ref(y.data))
+        del y
+        return s.square().sum()
+
+    loss = fn(params)
+    assert [ref() for ref in freed] == [None, None]
+    loss.backward()
+    assert np.allclose(params["w"].grad, 8.0 * (x.data * params["w"].data + params["b"].data)
+                       * x.data, rtol=1e-5)
+    assert grad_check(fn, params) <= 1e-6
 
 
 def test_backward_requires_scalar():

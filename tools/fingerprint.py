@@ -22,8 +22,11 @@ counters, parameters, Adam moments and encoder arrays, not the file
 bytes, so two checkpoint formats holding the same state hash alike), one
 sha256 over all six, the autodiff graph nodes of each train step, counted from the
 loss as `bench/run.py` counts them, and the `model_forward` calls each
-`sample()` makes. Last it prints the line count of the `.py` files under
-SRC_DIR/portraitflow (as `wc -l` counts them), which is not hashed.
+`sample()` makes. Last it prints two lines that are not hashed: the
+memory each train step's forward left allocated when `backward()` began
+(tracemalloc, started afresh for each step: the graph and the batch), and
+the line count of the `.py` files under SRC_DIR/portraitflow (as `wc -l`
+counts them).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -58,9 +62,11 @@ def array_bytes(arr) -> bytes:
     return f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes()
 
 
-def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
+def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, List[float]],
+                   Dict[str, int]]:
     """Run the fixed pipeline; return the bytes of each output group, the
-    graph nodes per train step and the model calls per sample by mode."""
+    graph nodes and the MB allocated at backward per train step, and the
+    model calls per sample by mode."""
     from portraitflow import checkpoint, evalmetrics, sampling, synthdata, training
     from portraitflow.encoders import EncoderConfig
     from portraitflow.model import DiTConfig
@@ -81,17 +87,25 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
         data.latents, references.data, data.audio, data.id_features, data.lip_masks,
         data.omegas))}
 
-    nodes = {"clip": [], "frame": []}
+    nodes, graph_mb = {"clip": [], "frame": []}, {"clip": [], "frame": []}
     backward = Tensor.backward
 
     def counting_backward(loss):
-        nodes[train_cfg.stage_at(state.step)].append(graph_nodes(loss))
+        stage = train_cfg.stage_at(state.step)
+        graph_mb[stage].append(tracemalloc.get_traced_memory()[0] / 2**20)
+        nodes[stage].append(graph_nodes(loss))
         return backward(loss)
+
+    def traced_step(step):
+        tracemalloc.start()
+        try:
+            return training.train_step(state, data, step)
+        finally:
+            tracemalloc.stop()
 
     Tensor.backward = counting_backward
     try:
-        reports = [training.train_step(state, data, step)
-                   for step in range(train_cfg.total_steps)]
+        reports = [traced_step(step) for step in range(train_cfg.total_steps)]
     finally:
         Tensor.backward = backward
     out["losses"] = "\n".join(r.to_json() for r in reports).encode()
@@ -135,7 +149,7 @@ def run() -> Tuple[Dict[str, bytes], Dict[str, List[int]], Dict[str, int]]:
                               loaded.norm_body, loaded.step, loaded.opt.count)).encode()
     out["checkpoint"] += b"".join(name.encode() + array_bytes(arrays[name])
                                   for name in sorted(arrays))
-    return out, nodes, calls
+    return out, nodes, graph_mb, calls
 
 
 def main(argv=None) -> int:
@@ -149,7 +163,7 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(Path(args.src).resolve()))
 
-    out, nodes, calls = run()
+    out, nodes, graph_mb, calls = run()
     total = hashlib.sha256()
     for name, blob in out.items():
         digest = hashlib.sha256(blob).hexdigest()
@@ -161,6 +175,8 @@ def main(argv=None) -> int:
     for mode, count in calls.items():
         print(f"model_forward calls per {mode}-mode sample(): {count} "
               f"at {SAMPLE_STEPS} steps")
+    for stage, mbs in graph_mb.items():
+        print(f"graph MB at backward per {stage} step: max {max(mbs):.2f} (not hashed)")
     lines = sum(p.read_bytes().count(b"\n")
                 for p in (Path(args.src) / "portraitflow").rglob("*.py"))
     print(f"src lines: {lines} (not hashed)")
