@@ -7,11 +7,19 @@ the mean cosine distance between each frame's identity tokens and the
 reference frame's (`sampling.identity_tokens`, the encoder the sampler
 conditions on), and the dynamics pair is the mean absolute inter-frame
 pixel difference inside / outside the foreground mask.
+
+`evaluate_model` samples the clips in `eval_workers` forked processes,
+which inherit the state unpickled, when the BLAS threads leave more than
+one CPU share (say, `OPENBLAS_NUM_THREADS=1` on two cores), else in-process;
+threads would not overlap, as the sampler holds the GIL. The caller scores
+each clip in order as it arrives, so rows are byte-identical either way.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, Tuple
@@ -123,6 +131,39 @@ def mask_bounding_box(mask: np.ndarray) -> Tuple[int, int, int, int]:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
+def eval_workers(clips: int) -> int:
+    """Sampler processes for `clips` clips: usable CPUs // BLAS threads per
+    process, where unset BLAS variables mean OpenBLAS's one per CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    workers = min(clips, cpus // blas)
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return workers
+    return 1
+
+
+_WORKER_STATE = None
+
+
+def _adopt_state(state) -> None:
+    global _WORKER_STATE
+    _WORKER_STATE = state
+
+
+def _sample_clip(job):
+    return sampling.sample(*job, _WORKER_STATE)
+
+
 def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, list]:
     """Generate one video per held-out sample (conditioned on its
     reference frame, envelope and recorded motion coefficients) and
@@ -131,25 +172,33 @@ def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, 
         with no_grad():
             return sampling.identity_tokens(frame, state).numpy().reshape(-1)
 
+    jobs = [(item.video[0], item.envelope,
+             replace(sample_cfg, omega_l=item.spec.omega_l, omega_b=item.spec.omega_b,
+                     seed=sample_cfg.seed + i))
+            for i, item in enumerate(samples)]
+    workers = eval_workers(len(jobs))
     rows = []
-    for i, item in enumerate(samples):
-        cfg = replace(sample_cfg, omega_l=item.spec.omega_l,
-                      omega_b=item.spec.omega_b, seed=sample_cfg.seed + i)
-        reference = item.video[0]
-        video, info = sampling.sample(reference, item.envelope, cfg, state)
+    with ExitStack() as stack:
+        if workers > 1:
+            from multiprocessing import get_context
+            pool = stack.enter_context(
+                get_context("fork").Pool(workers, _adopt_state, (state,)))
+            videos = pool.imap(_sample_clip, jobs, chunksize=1)
+        else:
+            videos = (sampling.sample(*job, state) for job in jobs)
+        for i, (item, (video, info)) in enumerate(zip(samples, videos)):
+            drive = per_frame_envelope(item.envelope, video.frames)
+            region = mask_bounding_box(item.lip_mask)
+            sync_r, degenerate = sync_proxy(video.data, drive, region)
 
-        drive = per_frame_envelope(item.envelope, video.frames)
-        region = mask_bounding_box(item.lip_mask)
-        sync_r, degenerate = sync_proxy(video.data, drive, region)
+            id_err = identity_proxy(video.data, item.video[0], embed)
 
-        id_err = identity_proxy(video.data, reference, embed)
-
-        sd, bd = dynamics_proxy(video.data, item.fg_mask.max(axis=0))
-        rows.append({
-            "index": i, "sync_r": sync_r, "sync_degenerate": degenerate,
-            "id_err": id_err, "sd": sd, "bd": bd,
-            "overflow_fraction": info["overflow_fraction"],
-        })
+            sd, bd = dynamics_proxy(video.data, item.fg_mask.max(axis=0))
+            rows.append({
+                "index": i, "sync_r": sync_r, "sync_degenerate": degenerate,
+                "id_err": id_err, "sd": sd, "bd": bd,
+                "overflow_fraction": info["overflow_fraction"],
+            })
     return aggregate_reports(rows), rows
 
 

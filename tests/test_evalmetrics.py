@@ -1,13 +1,21 @@
-"""Proxy metric unit behavior."""
+"""Proxy metric unit behavior, and `evaluate_model` on one and on two
+sampler processes."""
+
+import dataclasses
+import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from portraitflow import sampling
 from portraitflow.evalmetrics import (
     MetricReport,
     aggregate_reports,
     cosine_distance,
     dynamics_proxy,
+    evaluate_model,
     identity_proxy,
     mask_bounding_box,
     sync_proxy,
@@ -170,3 +178,53 @@ class TestReporting:
     def test_report_table_renders(self):
         table = MetricReport(0.5, 0.1, 0.2, 0.05, samples=4).table()
         assert "sync_r" in table and "bd" in table
+
+
+class TestWorkers:
+    CFG = sampling.SampleConfig(steps=3, seed=5, mode="frame")
+
+    @pytest.fixture
+    def parent_calls(self, monkeypatch):
+        """Records each `sampling.sample` call made in this process."""
+        calls = []
+        real_sample = sampling.sample
+        monkeypatch.setattr(sampling, "sample",
+                            lambda *args: calls.append(args) or real_sample(*args))
+        return calls
+
+    @staticmethod
+    def evaluate(monkeypatch, tiny_state, clips, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        report, rows = evaluate_model(tiny_state[0], clips, TestWorkers.CFG)
+        return report.to_json() + json.dumps(rows)
+
+    def test_two_workers_match_one_byte_for_byte(self, tiny_state, parent_calls,
+                                                 monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        clips = tiny_state[1][:3]
+        pooled = self.evaluate(monkeypatch, tiny_state, clips, cpus=2)
+        assert len(parent_calls) == 0
+        assert multiprocessing.active_children() == []
+        assert self.evaluate(monkeypatch, tiny_state, clips, cpus=1) == pooled
+        assert len(parent_calls) == 3
+
+    def test_unpinned_blas_keeps_eval_in_process(self, tiny_state, parent_calls,
+                                                 monkeypatch):
+        # OpenBLAS runs one thread per CPU when unpinned: two forked workers
+        # on two CPUs would each run two BLAS threads (2.9 s -> 12.6 s)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        self.evaluate(monkeypatch, tiny_state, tiny_state[1][:3], cpus=2)
+        assert len(parent_calls) == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_error_reaches_the_caller(self, tiny_state, monkeypatch, cpus):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        clips = list(tiny_state[1][:3])
+        envelope = clips[1].envelope.copy()
+        envelope[3] = np.nan
+        clips[1] = dataclasses.replace(clips[1], envelope=envelope)
+        with pytest.raises(ValueError, match="audio envelope holds non-finite values"):
+            self.evaluate(monkeypatch, tiny_state, clips, cpus)
+        assert multiprocessing.active_children() == []

@@ -27,3 +27,5 @@ def test_fingerprint_reports_hashes_graph_nodes_and_model_calls():
     assert any(line.startswith("graph nodes per frame step: max 308,") for line in lines), lines
     for mode in ("clip", "frame"):
         assert f"model_forward calls per {mode}-mode sample(): 4 at 4 steps" in lines, lines
+    assert any(re.fullmatch(r"eval workers: [1-9]\d* \(not hashed\)", line)
+               for line in lines), lines

@@ -16,27 +16,8 @@ from portraitflow.sampling import (
     integrate_flow,
     sample,
 )
-from portraitflow.synthdata import generate_sample, make_corpus_specs
-from portraitflow.training import (
-    TrainConfig,
-    build_bundle,
-    init_trainer,
-    prepare_training_tensors,
-    train_step,
-)
-from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
-
-
-@pytest.fixture(scope="module")
-def tiny_state():
-    samples = [generate_sample(s, TINY_SYNTH)
-               for s in make_corpus_specs(4, 0, TINY_SYNTH)]
-    cfg = TrainConfig(steps_clip=3, steps_frame=2, batch_size=2, seed=1)
-    state = init_trainer(TINY_DIT, TINY_ENC, cfg, samples)
-    data = prepare_training_tensors(samples, state.enc_params, TINY_ENC)
-    for step in range(cfg.total_steps):
-        train_step(state, data, step)
-    return state, samples
+from portraitflow.training import build_bundle, prepare_training_tensors
+from tiny_configs import TINY_DIT, TINY_ENC
 
 
 class TestCfgVelocity:

@@ -22,11 +22,13 @@ counters, parameters, Adam moments and encoder arrays, not the file
 bytes, so two checkpoint formats holding the same state hash alike), one
 sha256 over all six, the autodiff graph nodes of each train step, counted from the
 loss as `bench/run.py` counts them, and the `model_forward` calls each
-`sample()` makes. Last it prints two lines that are not hashed: the
+`sample()` makes. Last it prints three lines that are not hashed: the
 memory each train step's forward left allocated when `backward()` began
-(tracemalloc, started afresh for each step: the graph and the batch), and
-the line count of the `.py` files under SRC_DIR/portraitflow (as `wc -l`
-counts them).
+(tracemalloc, started afresh for each step: the graph and the batch), the
+sampler processes the eval ran on (`evalmetrics.eval_workers`, which
+follows the BLAS thread variables, so run it under `OPENBLAS_NUM_THREADS=1`
+and unpinned to hash both eval paths), and the line count of the `.py`
+files under SRC_DIR/portraitflow (as `wc -l` counts them).
 """
 
 from __future__ import annotations
@@ -177,6 +179,10 @@ def main(argv=None) -> int:
               f"at {SAMPLE_STEPS} steps")
     for stage, mbs in graph_mb.items():
         print(f"graph MB at backward per {stage} step: max {max(mbs):.2f} (not hashed)")
+    from portraitflow import evalmetrics
+    # a tree without eval_workers samples its eval clips in-process
+    workers = getattr(evalmetrics, "eval_workers", lambda clips: 1)(EVAL_CLIPS)
+    print(f"eval workers: {workers} (not hashed)")
     lines = sum(p.read_bytes().count(b"\n")
                 for p in (Path(args.src) / "portraitflow").rglob("*.py"))
     print(f"src lines: {lines} (not hashed)")
