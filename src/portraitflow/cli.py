@@ -3,7 +3,8 @@
 Every command writes a reproducibility record (fully resolved config and
 seeds) alongside its outputs. Config files are flat typed key=value text
 (see config.py); command-line flags override file values. Environment
-variables are never consulted.
+variables are never read, apart from the BLAS thread count that `eval`
+reads to size its worker pool.
 """
 
 from __future__ import annotations

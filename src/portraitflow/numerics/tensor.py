@@ -6,11 +6,12 @@ gradient checks use). An op's result is a `Tensor` holding its `data` and,
 when a gradient reaches one of its operands, a small graph node: the
 node's gradient, its operands' nodes and a backward closure that keeps
 only the arrays and shapes it reads. So an op result's data is freed once
-the caller drops the tensor, unless some backward reads it; a leaf is its
-own node. Gradients are accumulated, never overwritten, so shared
-parameters work. A node adopts the first gradient array it is sent
-instead of copying it; `backward()` frees every intermediate node's
-gradient once used, so only leaves hold one afterwards.
+the caller drops the tensor, unless some backward reads it. A
+`requires_grad` leaf owns a node with no parents and no backward. Gradients
+are accumulated, never overwritten, so shared parameters work. A node
+adopts the first gradient array it is sent instead of copying it;
+`backward()` frees each op result's gradient once used, so only leaf
+nodes keep one afterwards.
 """
 
 from __future__ import annotations
@@ -61,13 +62,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class _Node:
-    """The graph record of an op result: its gradient, its operands' nodes
-    and the backward that sends them theirs. It holds no `data`."""
+    """The graph record of a gradient: the gradient, its operands' nodes and
+    the backward that sends them theirs (a leaf's has neither). No `data`."""
 
     __slots__ = ("grad", "_parents", "_backward")
-    requires_grad = False
 
-    def __init__(self, parents: tuple, backward):
+    def __init__(self, parents: tuple = (), backward=None):
         self.grad: Optional[np.ndarray] = None
         self._parents = parents
         self._backward = backward
@@ -83,43 +83,41 @@ class _Node:
 
 
 def _targets(*operands: "Tensor") -> tuple:
-    """Where each operand's gradient goes: its node, the leaf itself when it
-    has `requires_grad`, or None for a constant (and for all under
-    `no_grad`). A backward reads an array only for a non-None target."""
+    """Where each operand's gradient goes: its node, or None for a constant
+    (and for all under `no_grad`). A backward reads an array only for a
+    non-None target."""
     if not _GRAD.get():
         return (None,) * len(operands)
-    return tuple(t._node if t._node is not None else t if t.requires_grad else None
-                 for t in operands)
+    return tuple(t._node for t in operands)
 
 
 class Tensor:
     """A numpy array in the run-wide dtype and, for an op result that a
-    gradient reaches, its graph node. Setting `requires_grad=True` marks a
-    leaf whose `grad` is filled in by `backward()` on a downstream scalar;
-    a leaf is its own node."""
+    gradient reaches, its graph node. Building it with `requires_grad=True`
+    marks a leaf whose `grad` is filled in by `backward()` on a downstream
+    scalar; such a leaf owns a node with no parents."""
 
-    __slots__ = ("data", "requires_grad", "_node", "_grad")
-    _backward = None  # a leaf sends no gradient on
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=_DTYPE.get())
-        self.requires_grad = bool(requires_grad)
-        self._node: Optional[_Node] = None
-        self._grad: Optional[np.ndarray] = None
+        self._node: Optional[_Node] = _Node() if requires_grad else None
 
     # ------------------------------------------------------------------
     # bookkeeping
 
     @property
+    def requires_grad(self) -> bool:
+        """Whether this is a leaf that takes a gradient; fixed when built."""
+        return self._node is not None and not self._node._parents
+
+    @property
     def grad(self) -> Optional[np.ndarray]:
-        return self._grad if self._node is None else self._node.grad
+        return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, value: Optional[np.ndarray]) -> None:
-        if self._node is None:
-            self._grad = value
-        else:
-            self._node.grad = value
+        self._node.grad = value
 
     @property
     def _parents(self) -> tuple:
@@ -139,14 +137,6 @@ class Tensor:
 
     def numpy(self) -> np.ndarray:
         return self.data
-
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add `grad` into this leaf's `grad`, in the leaf's dtype; the first
-        array is adopted, as a node adopts it."""
-        if self._grad is None:
-            self._grad = grad.astype(self.data.dtype, copy=False)
-        else:
-            self._grad += grad
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -172,13 +162,15 @@ class Tensor:
         return out
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the graph. Leaves keep
-        their gradients; each intermediate node's is freed once its own
-        backward has run, so a second `backward()` over a shared subgraph
-        sends only its own gradient."""
+        """Backpropagate from this scalar through the graph; a constant has
+        none, and returns at once. Leaves keep their gradients; each op
+        result's is freed once its own backward has run, so a second
+        `backward()` over a shared subgraph sends only its own gradient."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.data.shape}")
-        root = self if self._node is None else self._node
+        root = self._node
+        if root is None:
+            return
         order: list = []
         seen: set[int] = set()
         stack: list = [(root, False)]

@@ -183,7 +183,7 @@ class Adam:
         b2c = 1.0 - self.BETA2 ** self.count
         for name in sorted(params):
             p = params[name]
-            if not p.requires_grad or p.grad is None:
+            if p.grad is None:
                 continue
             g = np.asarray(p.grad, dtype=np.float32)
             if name not in self.m:

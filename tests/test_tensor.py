@@ -168,6 +168,27 @@ def test_backward_requires_scalar():
         (x * 2.0).backward()
 
 
+def test_backward_from_a_constant_sends_nothing():
+    c = Tensor(2.0)
+    c.backward()
+    assert c.grad is None
+
+
+def test_backward_from_a_leaf_gives_it_a_unit_gradient():
+    x = Tensor([3.0], requires_grad=True)
+    x.backward()
+    assert np.array_equal(x.grad, [1.0])
+
+
+def test_requires_grad_is_fixed_when_a_tensor_is_built():
+    # a leaf's node is made by the constructor, so a flag set later would
+    # mark a leaf that no gradient reaches
+    x = Tensor([3.0], requires_grad=True)
+    assert x.requires_grad and not (x * 2.0).requires_grad
+    with pytest.raises(AttributeError):
+        Tensor([3.0]).requires_grad = True
+
+
 def test_unbroadcast_sums_added_axes():
     g = np.ones((3, 4, 5))
     assert _unbroadcast(g, (5,)).tolist() == [12.0] * 5

@@ -20,6 +20,7 @@ from portraitflow.encoders import (
 )
 from portraitflow.model import ConditioningBundle, DiTConfig
 from portraitflow.numerics import RngState, Tensor
+from portraitflow.numerics.tensor import _Node
 from portraitflow.synthdata import SynthConfig, generate_sample, make_corpus_specs
 from portraitflow.training import (
     Adam,
@@ -323,8 +324,9 @@ class TestTrainLoop:
         assert stages == ["clip"] * 3 + ["frame"] * 2
 
     def _step_graphs(self, cfg, tiny_samples, monkeypatch):
-        """Run `cfg`'s train steps; per stage, the nodes reachable from each
-        step's loss through `_parents`, walked as bench/run.py walks them."""
+        """Run `cfg`'s train steps. Return, per stage, the nodes reachable
+        from each step's loss through `_parents`, walked as bench/run.py
+        walks them, and the trainer."""
         def reachable(loss):
             seen, todo = {id(loss): loss}, [loss]
             while todo:
@@ -346,10 +348,16 @@ class TestTrainLoop:
         monkeypatch.setattr(Tensor, "backward", recording_backward)
         for step in range(cfg.total_steps):
             train_step(state, data, step)
-        return graphs
+        return graphs, state
+
+    @staticmethod
+    def _parameter_nodes(state) -> set:
+        """The ids of the parameters' own nodes: the only parentless nodes
+        a gradient may reach."""
+        return {id(p._node) for p in state.params.values()}
 
     def test_graph_nodes_per_step(self, tiny_samples, monkeypatch):
-        graphs = self._step_graphs(self._config(), tiny_samples, monkeypatch)
+        graphs, _ = self._step_graphs(self._config(), tiny_samples, monkeypatch)
         counts = {stage: [len(g) for g in steps] for stage, steps in graphs.items()}
         assert max(counts["clip"]) <= 185 and max(counts["frame"]) <= 186, counts
 
@@ -357,15 +365,17 @@ class TestTrainLoop:
         # constant operands (the 1.0s, lambda weights, masks, targets and
         # dropout keeps) are left out of `_parents`, so backward never walks one
         cfg = self._config(steps_clip=1, steps_frame=1)
-        graphs = self._step_graphs(cfg, tiny_samples, monkeypatch)
+        graphs, state = self._step_graphs(cfg, tiny_samples, monkeypatch)
+        leaves = self._parameter_nodes(state)
         for stage, (graph,) in graphs.items():
-            constants = [n for n in graph if not (n.requires_grad or n._parents)]
+            constants = [n for n in graph if not (n._parents or id(n) in leaves)]
             assert not constants, f"{stage} step: {len(constants)} constants in the graph"
 
     @staticmethod
     def _default_step(stage, samples, monkeypatch, at_backward):
         """One default-config train step at batch 8 of `stage` on a fresh
-        trainer, calling `at_backward()` as `backward()` begins."""
+        trainer, calling `at_backward()` as `backward()` begins, and the
+        trainer."""
         enc = EncoderConfig()
         cfg = TrainConfig(steps_clip=int(stage == "clip"), steps_frame=int(stage == "frame"))
         state = init_trainer(DiTConfig.for_encoders(enc), enc, cfg, samples)
@@ -377,22 +387,23 @@ class TestTrainLoop:
             backward(loss)
 
         monkeypatch.setattr(Tensor, "backward", probing_backward)
-        return lambda: train_step(state, data, 0)
+        return lambda: train_step(state, data, 0), state
 
     @pytest.mark.parametrize("stage", ["clip", "frame"])
     def test_no_backward_computes_a_gradient_for_a_constant(self, default_samples,
                                                             monkeypatch, stage):
         # the lambda weights, the mean's 1/count, masks, dropout keeps, the
         # flow target and the final norm's zero scale/shift take no gradient
-        step = self._default_step(stage, default_samples, monkeypatch, lambda: None)
-        sent, accumulate = [], Tensor._accumulate
+        step, state = self._default_step(stage, default_samples, monkeypatch, lambda: None)
+        leaves = self._parameter_nodes(state)
+        sent, accumulate = [], _Node._accumulate
 
-        def recording_accumulate(tensor, grad):
-            if not (tensor.requires_grad or tensor._parents):
+        def recording_accumulate(node, grad):
+            if not (node._parents or id(node) in leaves):
                 sent.append(grad.shape)
-            accumulate(tensor, grad)
+            accumulate(node, grad)
 
-        monkeypatch.setattr(Tensor, "_accumulate", recording_accumulate)
+        monkeypatch.setattr(_Node, "_accumulate", recording_accumulate)
         step()
         assert not sent, f"{stage} step: {len(sent)} gradients sent to constants {sent}"
 
@@ -402,8 +413,8 @@ class TestTrainLoop:
         # intermediates are freed before backward (51.9 / 50.9 MB when every
         # node held its data; 37.3 / 35.6 MB with only the arrays it reads)
         traced = []
-        step = self._default_step(stage, default_samples, monkeypatch,
-                                  lambda: traced.append(tracemalloc.get_traced_memory()[0]))
+        step, _ = self._default_step(stage, default_samples, monkeypatch,
+                                     lambda: traced.append(tracemalloc.get_traced_memory()[0]))
         tracemalloc.start()
         try:
             step()
