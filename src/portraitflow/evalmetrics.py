@@ -13,6 +13,8 @@ which inherit the state unpickled, when the BLAS threads leave more than
 one CPU share (say, `OPENBLAS_NUM_THREADS=1` on two cores), else in-process;
 threads would not overlap, as the sampler holds the GIL. The caller scores
 each clip in order as it arrives, so rows are byte-identical either way.
+A worker killed mid-eval (say, by the OOM killer) fails the eval with
+`BrokenProcessPool`, and no worker is left running.
 """
 
 from __future__ import annotations
@@ -180,10 +182,13 @@ def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, 
     rows = []
     with ExitStack() as stack:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
             from multiprocessing import get_context
-            pool = stack.enter_context(
-                get_context("fork").Pool(workers, _adopt_state, (state,)))
-            videos = pool.imap(_sample_clip, jobs, chunksize=1)
+            # unlike multiprocessing.Pool, the executor notices a worker that
+            # dies (say, an OOM kill) and raises BrokenProcessPool
+            pool = ProcessPoolExecutor(workers, get_context("fork"), _adopt_state, (state,))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            videos = pool.map(_sample_clip, jobs)
         else:
             videos = (sampling.sample(*job, state) for job in jobs)
         for i, (item, (video, info)) in enumerate(zip(samples, videos)):

@@ -1,19 +1,20 @@
 """Iterative denoising with audio classifier-free guidance.
 
-The flow ODE is integrated from t=1 (pure noise) to t=0 with uniform
-Euler steps, z <- z - v * dt. Guidance extrapolates between the
+`sample` integrates the flow ODE from t=1 (pure noise) to t=0 with
+uniform Euler steps, z <- z - v * dt. Guidance extrapolates between the
 conditional velocity and one computed with the audio condition dropped
 by training's rule, `ConditioningBundle.drop` (identity and reference
 are dropped too when `drop_all_conditions` is set; motion is kept).
-Both velocities come from one B=2 forward per step, row 0 conditional
-and row 1 unconditional.
+Both velocities come from one B=2 forward per step on the bundle
+`guidance_bundle` builds once per sample through `condition_bundle`:
+row 0 conditional, row 1 unconditional.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -61,17 +62,6 @@ def cfg_velocity(v_cond, v_uncond, s: float) -> Tensor:
     return v_uncond + float(s) * (v_cond - v_uncond)
 
 
-def integrate_flow(z1: np.ndarray, velocity_fn: Callable[[np.ndarray, float], np.ndarray],
-                   steps: int) -> np.ndarray:
-    """Euler integration of dz/dt = v from t=1 down to t=0."""
-    z = np.array(z1, copy=True)
-    dt = 1.0 / steps
-    for k in range(steps):
-        t = 1.0 - k * dt
-        z = z - velocity_fn(z, t) * dt
-    return z
-
-
 def identity_tokens(frame: np.ndarray, state: TrainerState) -> Tensor:
     """[1 x n_id x c] tokens of one [H,W,3] frame's face crop: the frozen
     conv features read by the trained query head. Eval embeds with it too."""
@@ -79,25 +69,22 @@ def identity_tokens(frame: np.ndarray, state: TrainerState) -> Tensor:
     return identity_attend(Tensor(feats[None]), state.params)
 
 
-def _inference_bundle(state: TrainerState, reference_frame: np.ndarray,
-                      envelope: np.ndarray, cfg: SampleConfig) -> ConditioningBundle:
+def guidance_bundle(state: TrainerState, reference_frame: np.ndarray,
+                    envelope: np.ndarray, cfg: SampleConfig) -> ConditioningBundle:
+    """The B=2 bundle of one guided sample: row 0 conditions on the
+    reference frame, the envelope and cfg's motion; row 1 is the same clip
+    with its audio dropped (identity and reference too when
+    `cfg.drop_all_conditions` is set)."""
     ref_tokens = patchify_video(PixelVideo(reference_frame[None]), state.enc_params, state.enc)
     audio = encode_audio(envelope, state.enc_params, state.enc)
+    identity = identity_tokens(reference_frame, state).data
     # None: the stage of the last step the checkpoint trained
     mode = cfg.mode or state.train.stage_at(state.step - 1)
-    return condition_bundle(state.params, state.dit, ref_tokens[None], audio[None],
-                            identity_tokens(reference_frame, state),
-                            [[cfg.omega_l, cfg.omega_b]], mode)
-
-
-def guidance_pair(cond: ConditioningBundle, drop_all_conditions: bool) -> ConditioningBundle:
-    """The B=2 bundle of one guided step: row 0 is the B=1 bundle `cond`,
-    row 1 the same clip with its audio dropped (identity and reference
-    too when `drop_all_conditions` is set)."""
-    pair = replace(cond, **{name: Tensor(np.repeat(getattr(cond, name).data, 2, axis=0))
-                            for name in ("audio", "identity", "motion", "reference")})
-    d = drop_all_conditions
-    return pair.drop(np.array([[False, True], [False, d], [False, d]]))
+    bundle = condition_bundle(state.params, state.dit, np.stack([ref_tokens] * 2),
+                              np.stack([audio] * 2), Tensor(np.repeat(identity, 2, axis=0)),
+                              [[cfg.omega_l, cfg.omega_b]] * 2, mode)
+    d = cfg.drop_all_conditions
+    return bundle.drop([[False, True], [False, d], [False, d]])
 
 
 def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
@@ -123,30 +110,26 @@ def sample(reference_frame: np.ndarray, envelope: np.ndarray, cfg: SampleConfig,
             raise ValueError(f"{name} holds non-finite values")
 
     with no_grad():
-        cond = _inference_bundle(state, reference_frame, envelope, cfg)
-        pair = guidance_pair(cond, cfg.drop_all_conditions)
-
-        rng = RngState(cfg.seed)
-        z = rng.normal("init", size=(1, dit.video_tokens, dit.latent_width)
-                       ).astype(np.float32)
-        gaps = []
-
-        def velocity(z_now: np.ndarray, t: float) -> np.ndarray:
-            v = model_forward(Tensor(np.repeat(z_now, 2, axis=0)), t, pair,
+        bundle = guidance_bundle(state, reference_frame, envelope, cfg)
+        z = RngState(cfg.seed).normal("init", size=(1, dit.video_tokens, dit.latent_width)
+                                      ).astype(np.float32)
+        dt, gaps = 1.0 / cfg.steps, []
+        for k in range(cfg.steps):
+            t = 1.0 - k * dt
+            v = model_forward(Tensor(np.repeat(z, 2, axis=0)), t, bundle,
                               state.params, dit).numpy()
             gaps.append(float(np.sqrt(np.mean(np.square(v[0] - v[1], dtype=np.float64)))))
-            return cfg_velocity(v[:1], v[1:], cfg.cfg_scale).numpy()
+            z = z - cfg_velocity(v[:1], v[1:], cfg.cfg_scale).numpy() * dt
+            del v  # free it before the next step's forward: a lower peak RSS
 
-        z0 = integrate_flow(z, velocity, cfg.steps)
-
-    decoded = unpatchify_video(z0[0], state.enc_params, enc,
+    decoded = unpatchify_video(z[0], state.enc_params, enc,
                                enc.latent_frames, enc.latent_h, enc.latent_w)
     raw = decoded.data
     overflow = float(((raw < 0.0) | (raw > 1.0)).mean())
     video = PixelVideo(np.clip(raw, 0.0, 1.0))
     info = {
         "steps": cfg.steps, "cfg_scale": cfg.cfg_scale, "seed": cfg.seed,
-        "mode": cond.mode, "omega_l": cfg.omega_l, "omega_b": cfg.omega_b,
+        "mode": bundle.mode, "omega_l": cfg.omega_l, "omega_b": cfg.omega_b,
         "overflow_fraction": overflow, "guidance_gap": gaps,
     }
     return video, info

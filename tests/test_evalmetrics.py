@@ -5,6 +5,10 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,38 @@ from portraitflow.evalmetrics import (
 )
 
 REGION = (2, 6, 2, 6)
+
+# evaluate_model on two forked workers, one of which is SIGKILLed by its
+# own job (as the OOM killer would); prints the error raised and the
+# children left
+KILLED_WORKER = """
+import json, multiprocessing, os, signal
+from portraitflow import evalmetrics, sampling
+from portraitflow.synthdata import generate_sample, make_corpus_specs
+from portraitflow.training import TrainConfig, init_trainer
+from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
+
+clips = [generate_sample(s, TINY_SYNTH) for s in make_corpus_specs(3, 0, TINY_SYNTH)]
+state = init_trainer(TINY_DIT, TINY_ENC, TrainConfig(batch_size=2), clips)
+cfg = sampling.SampleConfig(steps=2, seed=5, mode="frame")
+sample_clip = evalmetrics._sample_clip
+
+
+def die_on_second_clip(job):
+    if job[2].seed == cfg.seed + 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return sample_clip(job)
+
+
+evalmetrics._sample_clip = die_on_second_clip
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    evalmetrics.evaluate_model(state, clips, cfg)
+    error = None
+except Exception as exc:
+    error = type(exc).__name__
+print(json.dumps({"error": error, "children": len(multiprocessing.active_children())}))
+"""
 
 
 def video_with_mouth_series(series):
@@ -228,3 +264,20 @@ class TestWorkers:
         with pytest.raises(ValueError, match="audio envelope holds non-finite values"):
             self.evaluate(monkeypatch, tiny_state, clips, cpus)
         assert multiprocessing.active_children() == []
+
+    def test_killed_worker_fails_the_eval_and_leaves_no_child(self):
+        # the script runs in a session of its own, so a hung eval is killed
+        # together with its workers when the timeout expires
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(Path(sampling.__file__).parents[1]), str(Path(__file__).parent)]))
+        proc = subprocess.Popen([sys.executable, "-c", KILLED_WORKER], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("evaluate_model still running 60 s after a worker was killed")
+        assert proc.returncode == 0, err
+        assert json.loads(out.splitlines()[-1]) == {"error": "BrokenProcessPool", "children": 0}

@@ -1,4 +1,4 @@
-"""Guidance algebra and flow integration."""
+"""Guidance algebra, the guided bundle and the Euler loop."""
 
 import dataclasses
 
@@ -6,16 +6,10 @@ import numpy as np
 import pytest
 
 from portraitflow import sampling
-from portraitflow.alignment import segment_audio
-from portraitflow.model import ConditioningBundle, model_forward
-from portraitflow.numerics import Tensor, no_grad
-from portraitflow.sampling import (
-    SampleConfig,
-    cfg_velocity,
-    guidance_pair,
-    integrate_flow,
-    sample,
-)
+from portraitflow.encoders import PixelVideo, encode_audio, patchify_video
+from portraitflow.model import condition_bundle, model_forward
+from portraitflow.numerics import Tensor, no_grad, precision
+from portraitflow.sampling import SampleConfig, cfg_velocity, guidance_bundle, sample
 from portraitflow.training import build_bundle, prepare_training_tensors
 from tiny_configs import TINY_DIT, TINY_ENC
 
@@ -50,22 +44,37 @@ class TestCfgVelocity:
 
 
 class TestIntegrateFlow:
-    def test_single_step_euler(self):
-        z1 = np.array([4.0, -2.0])
-        vel = np.array([1.0, 3.0])
-        out = integrate_flow(z1, lambda z, t: vel, steps=1)
-        assert np.allclose(out, z1 - vel)
+    def test_constant_field_recovers_endpoint_for_any_step_count(self, tiny_state,
+                                                                 monkeypatch):
+        # a constant field v in both rows makes the guided velocity v at any
+        # scale, and Euler is exact for it: every step count lands on z1 - v.
+        # In float64, so the check is the loop's algebra, not float32 round-off
+        state, samples = tiny_state
+        field = np.random.default_rng(2).standard_normal(
+            (state.dit.video_tokens, state.dit.latent_width))
+        starts, ends = [], []
 
-    def test_constant_field_recovers_endpoint_for_any_step_count(self):
-        # velocity eps - z of the straight path is constant along it, so
-        # Euler is exact: starting at eps, every step count lands on z
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((3, 4))
-        eps = rng.standard_normal((3, 4))
-        field = eps - z
+        def constant_forward(z, t, bundle, params, dit):
+            if t == 1.0:
+                starts.append(z.numpy()[0].copy())
+            return Tensor(np.stack([field, field]))
+
+        decode = sampling.unpatchify_video
+
+        def capture(tokens, *args):
+            ends.append(np.array(tokens, copy=True))
+            return decode(tokens, *args)
+
+        # z0 is the latent the decode receives: swap the decode out, as
+        # bench/run.py's sample_pre_clamp does to read the pre-clamp video
+        monkeypatch.setattr(sampling, "model_forward", constant_forward)
+        monkeypatch.setattr(sampling, "unpatchify_video", capture)
         for steps in (1, 2, 7, 30):
-            out = integrate_flow(eps.copy(), lambda y, t: field, steps)
-            assert np.abs(out - z).max() <= 1e-9
+            with precision("f64"):
+                sample(samples[0].video[0], samples[0].envelope,
+                       SampleConfig(steps=steps, seed=steps), state)
+            assert np.abs(ends[-1] - (starts[-1] - field)).max() <= 1e-9, steps
+        assert len(starts) == len(ends) == 4
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -95,8 +104,9 @@ def test_training_reference_is_the_sampler_reference(tiny_state):
     data = prepare_training_tensors(samples, state.enc_params, TINY_ENC)
     derived = build_bundle(state, data, np.arange(data.count), "clip").reference.numpy()
     for i, clip in enumerate(samples):
-        cond = sampling._inference_bundle(state, clip.video[0], clip.envelope, SampleConfig())
-        assert np.array_equal(derived[i], cond.reference.numpy()[0]), i
+        with no_grad():
+            pair = guidance_bundle(state, clip.video[0], clip.envelope, SampleConfig())
+        assert np.array_equal(derived[i], pair.reference.numpy()[0]), i
 
 
 def test_sampler_identity_tokens_are_the_training_identity_tokens(tiny_state):
@@ -110,33 +120,25 @@ def test_sampler_identity_tokens_are_the_training_identity_tokens(tiny_state):
         assert np.array_equal(tokens, trained), i
 
 
-def random_bundle(state, mode, seed=0):
-    """A B=1 conditioning bundle of random conditions for `state`'s model."""
-    dit, params = state.dit, state.params
-    rng = np.random.default_rng(seed)
-    return ConditioningBundle(
-        audio=Tensor(rng.standard_normal((1, dit.audio_tokens, dit.audio_width))),
-        identity=Tensor(rng.standard_normal((1, dit.n_id, dit.width)) * 0.2),
-        motion=Tensor(rng.random((1, 2))),
-        reference=Tensor(rng.standard_normal((1, dit.video_tokens, dit.ref_channels)) * 0.2),
-        mode=mode,
-        mapping=segment_audio(dit.audio_tokens, dit.latent_frames),
-        null_audio=params["null_audio"],
-        null_identity=params["null_identity"])
-
-
 class TestGuidancePair:
     @pytest.mark.parametrize("mode", ["clip", "frame"])
     @pytest.mark.parametrize("drop_all", [False, True])
     def test_rows_match_two_single_forwards(self, tiny_state, mode, drop_all):
-        state, _ = tiny_state
-        dit, params = state.dit, state.params
-        cond = random_bundle(state, mode, seed=4)
-        uncond = cond.drop(np.array([[True], [drop_all], [drop_all]]))
+        # row 0 of the sampler's bundle is the B=1 bundle `condition_bundle`
+        # builds, row 1 that bundle dropped by training's rule
+        state, samples = tiny_state
+        dit, enc, params = state.dit, state.enc, state.params
+        frame, envelope = samples[2].video[0], samples[2].envelope
         z = np.random.default_rng(5).standard_normal(
             (1, dit.video_tokens, dit.latent_width)).astype(np.float32)
         with no_grad():
-            pair = guidance_pair(cond, drop_all)
+            cond = condition_bundle(
+                params, dit, patchify_video(PixelVideo(frame[None]), state.enc_params, enc)[None],
+                encode_audio(envelope, state.enc_params, enc)[None],
+                sampling.identity_tokens(frame, state), [[0.3, 0.8]], mode)
+            uncond = cond.drop([[True], [drop_all], [drop_all]])
+            pair = guidance_bundle(state, frame, envelope, SampleConfig(
+                omega_l=0.3, omega_b=0.8, mode=mode, drop_all_conditions=drop_all))
             rows = model_forward(Tensor(np.repeat(z, 2, axis=0)), 0.6, pair, params, dit).numpy()
             for row, bundle in zip(rows, (cond, uncond)):
                 want = model_forward(Tensor(z), 0.6, bundle, params, dit).numpy()[0]
