@@ -3,7 +3,9 @@
 A clip pairs f latent frames with l audio tokens (l >= f). Segmentation
 assigns each frame a contiguous audio span; frame-scoped attention over
 those spans must agree with full-sequence attention under the matching
-block mask, which is the oracle used throughout the tests.
+block mask, which is the oracle used throughout the tests. The lip mask
+reaches the latent grid by trilinear projection, written as three 1-D
+interpolations (width, height, time).
 """
 
 from __future__ import annotations
@@ -72,46 +74,25 @@ def block_mask(mapping: AudioVideoMap, h: int, w: int) -> Tensor:
     return Tensor(mask)
 
 
-def _source_coords(dst: int, src: int) -> tuple:
-    """Align-corners-false sample positions with clamped neighbors."""
-    centers = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
-    lo = np.floor(centers).astype(np.int64)
-    frac = centers - lo
-    lo_c = np.clip(lo, 0, src - 1)
-    hi_c = np.clip(lo + 1, 0, src - 1)
-    return lo_c, hi_c, frac
-
-
-def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # a + t*(b-a): exact for a == b, monotone in both endpoints
-    return a + t * (b - a)
-
-
 def project_mask_trilinear(pixel_mask: np.ndarray, f: int, h: int, w: int) -> np.ndarray:
     """Resample a pixel-space mask [F x H x W] onto the latent grid
-    [f x h x w] by trilinear interpolation at cell centers.
+    [f x h x w] by trilinear interpolation at cell centers: one linear
+    interpolation per axis, width, then height, then time.
 
     Constants are preserved exactly and the map is pointwise monotone;
     output values stay in [0, 1] for inputs in [0, 1].
     """
-    pixel_mask = np.asarray(pixel_mask, dtype=np.float64)
-    F, H, W = pixel_mask.shape
+    out = np.asarray(pixel_mask, dtype=np.float64)
+    F, H, W = out.shape
     if F < f or H < h or W < w:
-        raise ValueError(f"pixel grid {pixel_mask.shape} smaller than latent ({f},{h},{w})")
-    t0, t1, tf = _source_coords(f, F)
-    r0, r1, rf = _source_coords(h, H)
-    c0, c1, cf = _source_coords(w, W)
-
-    # gather the 8 neighbors on the full latent lattice, then nested lerp
-    def gather(ti, ri, ci):
-        return pixel_mask[np.ix_(ti, ri, ci)]
-
-    tf_ = tf[:, None, None]
-    rf_ = rf[None, :, None]
-    cf_ = cf[None, None, :]
-    front = _lerp(_lerp(gather(t0, r0, c0), gather(t0, r0, c1), cf_),
-                  _lerp(gather(t0, r1, c0), gather(t0, r1, c1), cf_), rf_)
-    back = _lerp(_lerp(gather(t1, r0, c0), gather(t1, r0, c1), cf_),
-                 _lerp(gather(t1, r1, c0), gather(t1, r1, c1), cf_), rf_)
-    out = _lerp(front, back, tf_)
+        raise ValueError(f"pixel grid {out.shape} smaller than latent ({f},{h},{w})")
+    for axis, dst in ((2, w), (1, h), (0, f)):
+        src = out.shape[axis]
+        # align-corners-false sample positions, neighbors clamped at the edges
+        centers = (np.arange(dst, dtype=np.float64) + 0.5) * (src / dst) - 0.5
+        lo = np.floor(centers).astype(np.int64)
+        t = (centers - lo).reshape((-1,) + (1,) * (2 - axis))
+        a = np.take(out, np.clip(lo, 0, src - 1), axis=axis)
+        b = np.take(out, np.clip(lo + 1, 0, src - 1), axis=axis)
+        out = a + t * (b - a)  # exact for a == b, monotone in both endpoints
     return np.clip(out, 0.0, 1.0)

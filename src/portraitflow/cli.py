@@ -125,10 +125,7 @@ def cmd_sample(args) -> int:
     state = load_checkpoint(args.ckpt)
     reference = _load_reference(args.ref)
     envelope = load_tensor(args.audio).reshape(-1)
-    cfg = SampleConfig(steps=args.steps, cfg_scale=args.cfg_scale,
-                       omega_l=args.motion_l, omega_b=args.motion_b,
-                       seed=args.seed, mode=args.mode,
-                       drop_all_conditions=args.drop_all_conditions)
+    cfg = SampleConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SampleConfig)})
     video, info = sample(reference, envelope, cfg, state)
 
     out = Path(args.out)
@@ -221,15 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--ref", required=True, help="reference tensor file [H,W,3] or [F,H,W,3]")
     s.add_argument("--audio", required=True, help="envelope tensor file")
     s.add_argument("--out", required=True)
-    s.add_argument("--motion-l", type=float, default=SampleConfig.omega_l, dest="motion_l")
-    s.add_argument("--motion-b", type=float, default=SampleConfig.omega_b, dest="motion_b")
-    s.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale, dest="cfg_scale")
+    s.add_argument("--motion-l", type=float, default=SampleConfig.omega_l, dest="omega_l")
+    s.add_argument("--motion-b", type=float, default=SampleConfig.omega_b, dest="omega_b")
+    s.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale)
     s.add_argument("--steps", type=int, default=SampleConfig.steps)
     s.add_argument("--seed", type=int, default=SampleConfig.seed)
     s.add_argument("--mode", choices=("clip", "frame"), default=SampleConfig.mode)
-    s.add_argument("--dump-frames", action="store_true", dest="dump_frames")
-    s.add_argument("--drop-all-conditions", action="store_true",
-                   dest="drop_all_conditions")
+    s.add_argument("--dump-frames", action="store_true")
+    s.add_argument("--drop-all-conditions", action="store_true")
     s.set_defaults(func=cmd_sample)
 
     e = sub.add_parser("eval", help="proxy metrics on held-out samples")
@@ -238,10 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True)
     e.add_argument("--count", type=int, default=16)
     e.add_argument("--steps", type=int, default=SampleConfig.steps)
-    e.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale, dest="cfg_scale")
+    e.add_argument("--cfg-scale", type=float, default=SampleConfig.cfg_scale)
     e.add_argument("--seed", type=int, default=SampleConfig.seed)
-    e.add_argument("--lambda-identity", type=float, default=None,
-                   dest="lambda_identity")
+    e.add_argument("--lambda-identity", type=float, default=None)
     e.set_defaults(func=cmd_eval)
 
     i = sub.add_parser("inspect", help="summarize a checkpoint")

@@ -195,7 +195,7 @@ def timestep_embedding(t, motion: Tensor, params: Dict[str, Tensor],
     embedding plus the motion embedding. `t` is a scalar or a length-B
     array of values in [0, 1]; `motion` is [2] or [B x 2]."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails both
         raise ValueError(f"timestep values must lie in [0, 1], got {t_arr}")
     feats = Tensor(sinusoidal_features(t_arr, config.width))
     h = silu(dense(feats, params, "t_mlp1.w"))

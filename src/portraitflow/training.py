@@ -72,19 +72,24 @@ class TrainConfig:
 
 
 @dataclass
+class GateOutcome:
+    branch: str                       # "masked" or "full"
+    coverage: float                   # fraction of latent cells with nonzero lip weight
+    empty_mask_fallback: bool = False
+
+
+@dataclass
 class LossReport:
     step: int
     stage: str
     loss: float
-    branch: str              # "masked" or "full"
-    coverage: float          # fraction of latent cells with nonzero lip weight
-    empty_mask_fallback: bool = False
+    gate: GateOutcome
 
     def to_json(self) -> str:
         return json.dumps({
             "step": self.step, "stage": self.stage, "loss": self.loss,
-            "branch": self.branch, "coverage": round(self.coverage, 6),
-            "empty_mask_fallback": self.empty_mask_fallback,
+            "branch": self.gate.branch, "coverage": round(self.gate.coverage, 6),
+            "empty_mask_fallback": self.gate.empty_mask_fallback,
         })
 
 
@@ -96,7 +101,7 @@ def flow_noise_and_target(z, eps, t) -> Tuple[Tensor, Tensor]:
     """Straight-path interpolation z_t = (1-t) z + t eps with constant
     velocity target eps - z. `t` may be scalar or per-sample [B]."""
     t_arr = np.asarray(t, dtype=z.dtype)
-    if np.any((t_arr < 0.0) | (t_arr > 1.0)):
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):  # NaN fails both
         raise ValueError(f"t must lie in [0, 1], got {t_arr}")
     while t_arr.ndim < z.ndim:
         t_arr = t_arr[..., None]
@@ -105,13 +110,6 @@ def flow_noise_and_target(z, eps, t) -> Tuple[Tensor, Tensor]:
 
 # ----------------------------------------------------------------------
 # losses
-
-
-@dataclass
-class GateOutcome:
-    branch: str
-    coverage: float
-    empty_mask_fallback: bool = False
 
 
 def masked_gated_loss(per_element_loss: Tensor, mask: np.ndarray, eta: float,
@@ -134,15 +132,13 @@ def masked_gated_loss(per_element_loss: Tensor, mask: np.ndarray, eta: float,
             f"{per_element_loss.shape} (expected {per_element_loss.shape[:-1]})")
     channels = per_element_loss.shape[-1]
     coverage = float((mask > 0).mean())
-    p = float(rng.random())
-    if p > eta:
-        mask_sum = float(mask.sum())
-        if mask_sum == 0.0:
-            return per_element_loss.mean(), GateOutcome("full", coverage, True)
-        weighted = (per_element_loss * Tensor(mask[..., None])).sum()
-        denom = max(mask_sum * channels, 1.0)
-        return weighted * (1.0 / denom), GateOutcome("masked", coverage)
-    return per_element_loss.mean(), GateOutcome("full", coverage)
+    masked = rng.random() > eta
+    mask_sum = float(mask.sum())
+    if not masked or mask_sum == 0.0:
+        return per_element_loss.mean(), GateOutcome("full", coverage, masked)
+    weighted = (per_element_loss * Tensor(mask[..., None])).sum()
+    denom = max(mask_sum * channels, 1.0)
+    return weighted * (1.0 / denom), GateOutcome("masked", coverage)
 
 
 def condition_dropout(bundle: ConditioningBundle,
@@ -336,9 +332,7 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
     state.opt.step(state.params)
     state.opt.zero_grad(state.params)
     state.step = step + 1
-    return LossReport(step=step, stage=stage, loss=loss_value,
-                      branch=outcome.branch, coverage=outcome.coverage,
-                      empty_mask_fallback=outcome.empty_mask_fallback)
+    return LossReport(step=step, stage=stage, loss=loss_value, gate=outcome)
 
 
 def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,

@@ -1,5 +1,8 @@
 """Audio segmentation, block masks, trilinear projection."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,32 @@ class TestTrilinearProjection:
             pix = np.full((8, 16, 16), value)
             out = project_mask_trilinear(pix, 4, 4, 4)
             assert (out == value).all()
+
+    def test_matches_eight_corner_definition(self):
+        # out[i, j, k] = sum over the 8 corners of the per-axis weights
+        # (1 - frac, frac) times the pixel at the clamped corner
+        def taps(dst, src, i):
+            center = (i + 0.5) * src / dst - 0.5
+            lo = math.floor(center)
+            frac = center - lo
+            return (max(lo, 0), 1.0 - frac), (min(lo + 1, src - 1), frac)
+
+        rng = np.random.default_rng(5)
+        # F == f and H == h (the clamped upper neighbor), fractions other than 1/2
+        sizes = [((3, 7, 10), (3, 3, 4)), ((5, 9, 4), (2, 9, 3))]
+        for _ in range(30):
+            grid = tuple(int(n) for n in rng.integers(1, 10, size=3))
+            sizes.append((grid, tuple(int(rng.integers(1, n + 1)) for n in grid)))
+        for (F, H, W), (f, h, w) in sizes:
+            pix = rng.random((F, H, W))
+            expect = np.zeros((f, h, w))
+            for i, j, k in np.ndindex(f, h, w):
+                for (a, wa), (b, wb), (c, wc) in itertools.product(
+                        taps(f, F, i), taps(h, H, j), taps(w, W, k)):
+                    expect[i, j, k] += wa * wb * wc * pix[a, b, c]
+            out = project_mask_trilinear(pix, f, h, w)
+            assert out.shape == expect.shape
+            assert np.abs(out - expect).max() <= 1e-12, ((F, H, W), (f, h, w))
 
     def test_hand_computed_two_times_downsampling(self):
         # 2x2x2 block of ones at [1:3,1:3,1:3] inside a 4x4x4 zero grid,

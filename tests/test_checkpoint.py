@@ -277,11 +277,13 @@ class TestMalformed:
 
     @pytest.mark.parametrize("edit", ["rename enc.audio_b", "rename model.id.wo_b",
                                       "rename opt.v.pos_audio", "reshape model.in_proj.b",
-                                      "nan model.out_proj.b", "inf opt.v.pos_audio"])
+                                      "nan model.out_proj.b", "inf opt.v.pos_audio",
+                                      "extra model.block2.mod.w"])
     def test_tensor_set_must_match_header(self, saved_bytes, tmp_path, capsys, edit):
         # a renamed tensor is reported missing under its old name; an Adam
         # moment needs its partner; a [1 x c] bias would broadcast silently;
-        # one NaN or inf would make every sampled video NaN
+        # one NaN or inf would make every sampled video NaN; a tensor of a
+        # deeper model is named, not ignored
         action, named = edit.split()
         path = tmp_path / "edited.pfck"
         path.write_bytes(saved_bytes)
@@ -294,11 +296,17 @@ class TestMalformed:
             save_checkpoint(path, state)
         else:
             _, tensors = read_checkpoint_raw(path)
-            tensors[named] = tensors[named].copy()
-            tensors[named].flat[0] = float(action)
+            if action == "extra":
+                assert named not in tensors
+                tensors[named] = np.zeros(3)
+            else:
+                tensors[named] = tensors[named].copy()
+                tensors[named].flat[0] = float(action)
             path.write_bytes(_with_records(saved_bytes, sorted(tensors.items())))
         for command in ("sample", "inspect"):
-            assert repr(named) in _fails_cleanly(command, path, tmp_path, capsys)[0]
+            err = _fails_cleanly(command, path, tmp_path, capsys)[0]
+            assert repr(named) in err
+            assert action != "extra" or "the header implies no such tensor" in err, err
 
     @pytest.mark.parametrize("edit", [
         {"dit.depth": 5000},

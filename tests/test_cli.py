@@ -129,9 +129,9 @@ def test_parser_defaults_match_reference_settings():
                               "--audio", "a", "--out", "o"])
     assert args.cfg_scale == 4.5
     assert args.steps == 30
-    assert args.motion_l == 0.5 and args.motion_b == 0.5
+    assert args.omega_l == 0.5 and args.omega_b == 0.5
     ref = SampleConfig()
-    assert (args.steps, args.cfg_scale, args.motion_l, args.motion_b, args.seed, args.mode,
+    assert (args.steps, args.cfg_scale, args.omega_l, args.omega_b, args.seed, args.mode,
             args.drop_all_conditions) == (ref.steps, ref.cfg_scale, ref.omega_l, ref.omega_b,
                                           ref.seed, ref.mode, ref.drop_all_conditions)
     args = parser.parse_args(["eval", "--ckpt", "x", "--data", "d", "--out", "o"])

@@ -109,8 +109,9 @@ class TestTimestepEmbedding:
         assert delta > 1e-6
 
     def test_out_of_range_t_rejected(self, tiny_params):
-        with pytest.raises(ValueError, match="\\[0, 1\\]"):
-            timestep_embedding(1.5, Tensor([0.5, 0.5]), tiny_params, TINY)
+        for bad in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="\\[0, 1\\]"):
+                timestep_embedding(bad, Tensor([0.5, 0.5]), tiny_params, TINY)
 
 
 class TestDitBlock:

@@ -74,8 +74,9 @@ class TestNoising:
         assert np.abs(slope - v.numpy()).max() <= 1e-6
 
     def test_flow_rejects_bad_t(self):
-        with pytest.raises(ValueError):
-            flow_noise_and_target(np.zeros(1), np.zeros(1), 1.2)
+        for bad in (1.2, float("nan")):
+            with pytest.raises(ValueError):
+                flow_noise_and_target(np.zeros(1), np.zeros(1), bad)
 
 
 class TestMaskedGatedLoss:
@@ -247,6 +248,16 @@ class TestAdam:
             for n, p in params.items():
                 assert np.array_equal(p.data, ref[n]), (n, count)
                 assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n])
+
+    def test_parameter_without_gradient_is_skipped(self):
+        # as `null_audio` is on a step that drops no audio
+        params = {n: Tensor(np.ones(3), requires_grad=True) for n in ("a", "b")}
+        params["a"].grad = np.full(3, 2.0, dtype=np.float32)
+        opt = Adam(0.1)
+        opt.step(params)
+        assert np.array_equal(params["b"].data, np.ones(3))
+        assert "b" not in opt.m and "b" not in opt.v
+        assert "a" in opt.m and not np.array_equal(params["a"].data, np.ones(3))
 
     def test_descends_a_quadratic(self):
         params = {"w": Tensor(np.array([5.0]), requires_grad=True)}
