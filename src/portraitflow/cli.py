@@ -96,7 +96,7 @@ def cmd_train(args) -> int:
     holdout = args.holdout
     if not 0 <= holdout < len(samples):
         raise ValueError(f"holdout {holdout} must lie in [0, corpus size {len(samples)})")
-    train_samples = samples[:len(samples) - holdout] if holdout else samples
+    train_samples = samples[:len(samples) - holdout]
 
     out = Path(args.out)
     state, reports, artifacts = run_two_stage(train_samples, dit, enc, train, out)

@@ -270,8 +270,6 @@ class Tensor:
     # shape ops
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         (ta,) = _targets(self)
         a_shape = self.data.shape
 

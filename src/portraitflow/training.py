@@ -162,8 +162,8 @@ def condition_dropout(bundle: ConditioningBundle,
 
 
 class Adam:
-    """Adam with bias correction; update order is sorted by name so runs
-    are bit-reproducible."""
+    """Adam with bias correction. A parameter's update reads only its own
+    gradient and moments, so the order of `params` cannot change a bit."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
@@ -177,8 +177,7 @@ class Adam:
         self.count += 1
         b1c = 1.0 - self.BETA1 ** self.count
         b2c = 1.0 - self.BETA2 ** self.count
-        for name in sorted(params):
-            p = params[name]
+        for name, p in params.items():
             if p.grad is None:
                 continue
             g = np.asarray(p.grad, dtype=np.float32)

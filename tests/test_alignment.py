@@ -31,6 +31,11 @@ class TestSegmentAudio:
         with pytest.raises(ValueError, match="no audio token"):
             segment_audio(3, 4)
 
+    def test_no_frames_rejected(self):
+        for f in (0, -2):
+            with pytest.raises(ValueError, match="at least one frame"):
+                segment_audio(4, f)
+
     def test_partition_is_exact_for_all_small_sizes(self):
         # exhaustive: segments partition [0, l) for 1 <= f <= l <= 64
         for l in range(1, 65):

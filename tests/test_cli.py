@@ -1,5 +1,6 @@
 """Operator surface: every command end-to-end on a micro corpus."""
 
+import hashlib
 import json
 import shutil
 
@@ -500,6 +501,40 @@ def test_train_on_a_manifest_contradicting_its_arrays(workspace, capsys, tmp_pat
                  "--steps-clip", "1", "--steps-frame", "0"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "video.pft" in err[0], err
+    assert not out.exists()
+
+
+def _raise_stored_envelope(data):
+    # a checksum-true envelope file with one value above 1
+    path = data / "sample_00000" / "envelope.pft"
+    envelope = load_tensor(path)
+    envelope[0] = 1.5
+    save_tensor(path, envelope)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["samples"][0]["checksums"]["envelope"] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _raise_stored_omega(data):
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["samples"][0]["omega_l"] = 1.5
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, named", [(_raise_stored_envelope, "envelope"),
+                                         (_raise_stored_omega, "motion coefficients")],
+                         ids=["envelope", "omega"])
+def test_train_on_a_recipe_outside_the_unit_interval(workspace, capsys, tmp_path, edit,
+                                                     named):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    edit(data)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(out), "--holdout", "3",
+                 "--steps-clip", "1", "--steps-frame", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0], err
     assert not out.exists()
 
 

@@ -54,6 +54,13 @@ class TestPatchify:
         hot = np.flatnonzero(np.abs(tokens).sum(axis=1))
         assert hot.tolist() == [3 * 16 + 2 * 4 + 1]
 
+    @pytest.mark.parametrize("shape,named", [((4, 4, 3), "F,H,W,3"), ((2, 4, 4, 1), "F,H,W,3"),
+                                             ((0, 4, 4, 3), "at least one frame")],
+                             ids=["rank 3", "one channel", "no frames"])
+    def test_malformed_video_rejected(self, shape, named):
+        with pytest.raises(ValueError, match=named):
+            PixelVideo(np.zeros(shape))
+
     def test_indivisible_dimensions_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(height=30, width=32, patch=8)
@@ -101,6 +108,13 @@ class TestEncodeAudio:
         feats = audio_window_features(env, l, spt)
         oracle = env.reshape(l, spt).mean(axis=1)
         assert np.allclose(feats[:, 0], oracle)
+
+    def test_one_sample_per_token_has_zero_slope(self):
+        env = np.random.default_rng(2).random(6)
+        feats = audio_window_features(env, 6, 1)
+        assert np.array_equal(feats[:, 0], env)
+        assert np.array_equal(feats[:, 1], np.zeros(6))
+        assert np.array_equal(feats[:, 2], env)
 
     def test_envelope_too_short_rejected(self, enc16, params16):
         with pytest.raises(ValueError, match="samples"):

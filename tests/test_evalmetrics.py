@@ -130,6 +130,13 @@ class TestIdentityProxy:
             assert cosine_distance(a, b) == pytest.approx(cosine_distance(b, a))
             assert cosine_distance(a, b) >= 0.0
 
+    def test_cosine_distance_at_zero_norm(self):
+        # two silent embeddings agree; a silent and a live one share nothing
+        zero, live = np.zeros(4), np.array([0.0, 1.0, 2.0, 0.0])
+        assert cosine_distance(zero, zero) == 0.0
+        assert cosine_distance(zero, live) == 1.0
+        assert cosine_distance(live, zero) == 1.0
+
     def test_distinct_content_scores_positive(self):
         rng = np.random.default_rng(2)
         video = rng.random((4, 8, 8, 3))
@@ -210,6 +217,10 @@ class TestReporting:
         assert (tmp_path / "metrics.txt").exists()
         lines = (tmp_path / "metrics.jsonl").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_aggregate_of_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no per-sample metric rows"):
+            aggregate_reports([])
 
     def test_report_table_renders(self):
         table = MetricReport(0.5, 0.1, 0.2, 0.05, samples=4).table()

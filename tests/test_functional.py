@@ -21,6 +21,10 @@ class TestSoftmax:
         out = softmax_lastaxis(Tensor([0.0, 0.0]))
         assert np.allclose(out.numpy(), [0.5, 0.5])
 
+    def test_empty_last_axis_rejected(self):
+        with pytest.raises(ValueError, match="non-empty last axis"):
+            softmax_lastaxis(Tensor(np.zeros((2, 0))))
+
     def test_shift_invariance_no_overflow(self):
         out = softmax_lastaxis(Tensor([1000.0, 1000.0]))
         assert np.isfinite(out.numpy()).all()
@@ -362,6 +366,14 @@ class TestAttention:
         for heads in (0, 4):
             with pytest.raises(ValueError, match="heads"):
                 attention(x, x, x, heads=heads)
+
+    def test_qkv_shapes_must_agree(self):
+        q, kv = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 5, 4)))
+        for k, v in ((Tensor(np.ones((2, 5, 6))), kv), (kv, Tensor(np.ones((2, 5, 2))))):
+            with pytest.raises(ValueError, match="q/k/v widths differ"):
+                attention(q, k, v)
+        with pytest.raises(ValueError, match="k/v lengths differ"):
+            attention(q, kv, Tensor(np.ones((2, 4, 4))))
 
     def test_blocks_must_divide_lengths(self):
         q, kv = Tensor(np.ones((2, 6, 4))), Tensor(np.ones((2, 4, 4)))

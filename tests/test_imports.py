@@ -68,3 +68,17 @@ def test_every_src_definition_has_a_src_user():
                 used |= _names(node)
     assert len(defined) > 50
     assert defined - used == set(UNUSED_IN_SRC)
+
+
+def test_src_raises_no_assertion_error():
+    # `cli.main` turns only ValueError, OSError, EOFError and
+    # FloatingPointError into one `error:` line, and `python -O` strips
+    # asserts, so a check in src/ raises one of those by name
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and "AssertionError" in _names(node.exc)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

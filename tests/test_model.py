@@ -85,6 +85,13 @@ class TestTimestepEmbedding:
             for j in range(i + 1, len(grid)):
                 assert np.abs(emb[i] - emb[j]).max() > 1e-9
 
+    def test_odd_width_pads_the_sinusoids_with_a_zero_column(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        feats = sinusoidal_features(grid, 7)
+        assert feats.shape == (5, 7)
+        assert np.array_equal(feats[:, :6], sinusoidal_features(grid, 6))
+        assert not feats[:, 6].any()
+
     def test_sinusoids_injective_on_grid(self):
         grid = np.linspace(0.0, 1.0, 101)
         feats = sinusoidal_features(grid, 16)
@@ -224,6 +231,11 @@ class TestConditioningBundle:
         with pytest.raises(dataclasses.FrozenInstanceError):
             bundle.audio = bundle.null_audio
 
+    def test_unknown_mode_rejected(self, tiny_params):
+        bundle = make_bundle(TINY, tiny_params)
+        with pytest.raises(ValueError, match="unknown audio scoping mode 'frames'"):
+            dataclasses.replace(bundle, mode="frames")
+
     def test_frame_mode_needs_equal_length_segments(self, tiny_params):
         # segments of 3, 2, 3 and 2 tokens cannot be one attention block per frame
         bundle = make_bundle(TINY, tiny_params)
@@ -239,6 +251,10 @@ class TestModelForward:
         z = Tensor(np.zeros((2, TINY.video_tokens, TINY.latent_width)))
         out = model_forward(z, np.array([0.1, 0.9]), bundle, tiny_params, TINY)
         assert out.shape == (2, TINY.video_tokens, TINY.latent_width)
+
+    def test_width_must_be_heads_times_head_dim(self):
+        with pytest.raises(ValueError, match="width 16 != heads 2 x head_dim 4"):
+            dataclasses.replace(TINY, head_dim=4)
 
     def test_unbatched_input_rejected(self, tiny_params):
         bundle = make_bundle(TINY, tiny_params, batch=1)

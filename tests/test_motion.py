@@ -40,6 +40,11 @@ class TestComputeCoefficient:
         with pytest.raises(ValueError, match="frames"):
             raw_motion_variance(np.zeros((1, 2, 2)))
 
+    def test_non_keypoint_sequence_rejected(self):
+        for shape in ((4, 2), (4, 3, 3)):
+            with pytest.raises(ValueError, match="F,K,2"):
+                raw_motion_variance(np.zeros(shape))
+
     def test_bad_norm_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             MotionNorm(1.0, 1.0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from portraitflow.encoders import EncoderConfig, crop_face
+from portraitflow.evalmetrics import mask_bounding_box, sync_proxy
 from portraitflow.motion import raw_motion_variance
 from portraitflow.synthdata import (
     SceneSpec,
@@ -15,7 +16,6 @@ from portraitflow.synthdata import (
     band_limited_walk,
     generate_sample,
     make_corpus_specs,
-    mouth_intensity_series,
     per_frame_envelope,
     random_scene_spec,
     read_dataset,
@@ -43,7 +43,7 @@ class TestGenerateSample:
     def test_silent_envelope_keeps_mouth_closed_and_constant(self):
         sample = generate_sample(spec_with(envelope=np.zeros(CFG.envelope_samples),
                                            omega_l=0.0, omega_b=0.0), CFG)
-        r0, r1, c0, c1 = CFG.mouth_box()
+        r0, r1, c0, c1 = CFG.layout()["mouth"]
         region = sample.video[:, r0:r1, c0:c1]
         for i in range(1, CFG.frames):
             assert np.array_equal(region[i], region[0])
@@ -52,7 +52,7 @@ class TestGenerateSample:
 
     def test_zero_intensity_freezes_everything_but_the_mouth(self):
         sample = generate_sample(spec_with(omega_l=0.0, omega_b=0.0), CFG)
-        r0, r1, c0, c1 = CFG.mouth_box()
+        r0, r1, c0, c1 = CFG.layout()["mouth"]
         outside = sample.video.copy()
         outside[:, r0:r1, c0:c1] = 0.0
         for i in range(1, CFG.frames):
@@ -64,12 +64,26 @@ class TestGenerateSample:
                                   np.tile(sample.landmarks[0, 10:], (CFG.frames - 1, 1, 1)))
 
     def test_mouth_envelope_correlation_on_corpus(self):
-        for spec in make_corpus_specs(16, 11, CFG):
-            sample = generate_sample(spec, CFG)
-            drive = per_frame_envelope(sample.envelope, CFG.frames)
-            series = mouth_intensity_series(sample.video, CFG.mouth_box())
-            r = np.corrcoef(series, drive)[0, 1]
-            assert r >= 0.9
+        # scored as `evaluate_model` scores sync: the mouth-box brightness
+        # is affine in the per-frame envelope, so r is 1 up to rounding
+        for size in (8, 16, 32, 48):
+            for frames in (3, 8, 16):
+                cfg = SynthConfig(frames=frames, height=size, width=size)
+                for spec in make_corpus_specs(6, 11, cfg):
+                    sample = generate_sample(spec, cfg)
+                    r, degenerate = sync_proxy(
+                        sample.video, per_frame_envelope(sample.envelope, frames),
+                        mask_bounding_box(sample.lip_mask))
+                    assert not degenerate and r >= 0.999, (size, frames, r)
+
+    def test_face_brighter_than_the_mouth_generates(self):
+        # a legal recipe whose mouth darkens as it opens: how well it syncs
+        # is for eval to score, not for the generator to refuse
+        spec = dataclasses.replace(spec_with(), identity=(1.0, 1.0, 1.0, 1.0, 0.0))
+        sample = generate_sample(spec, CFG)
+        r, _ = sync_proxy(sample.video, per_frame_envelope(sample.envelope, CFG.frames),
+                          mask_bounding_box(sample.lip_mask))
+        assert r <= -0.999
 
     def test_joint_variance_monotone_in_body_coefficient(self):
         raws = []
@@ -106,6 +120,24 @@ class TestGenerateSample:
         with pytest.raises(ValueError):
             SceneSpec(identity=(0.5,) * 5, omega_l=1.4, omega_b=0.5,
                       envelope=np.zeros(4), background=(1, 1, 0), seed=0)
+
+    @pytest.mark.parametrize("envelope", [
+        np.full(CFG.envelope_samples, -0.3),
+        np.linspace(-0.5, 0.5, CFG.envelope_samples),
+        np.linspace(0.5, 2.0, CFG.envelope_samples),
+        np.full(CFG.envelope_samples, np.nan),
+    ], ids=["constant -0.3", "ramp -0.5..0.5", "ramp 0.5..2.0", "nan"])
+    def test_envelope_outside_unit_interval_rejected(self, envelope):
+        # a negative opening paints the edge row above the mouth box; the
+        # ramps made the old in-generator sync check raise AssertionError
+        with pytest.raises(ValueError, match="envelope"):
+            spec_with(envelope=envelope)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SynthConfig)])
+    def test_config_size_below_one_rejected(self, field):
+        # at envelope_samples 0, generation died inside numpy
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            SynthConfig(**{field: 0})
 
 
 class TestIdentitySeparation:

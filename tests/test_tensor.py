@@ -35,6 +35,12 @@ def test_matmul_shape_mismatch_names_both_shapes():
     assert "(3, 4)" in str(exc.value) and "(5, 2)" in str(exc.value)
 
 
+def test_matmul_rejects_a_1d_operand():
+    for a, b in (((3,), (3, 4)), ((2, 3), (3,))):
+        with pytest.raises(ValueError, match="2d"):
+            Tensor(np.zeros(a)) @ Tensor(np.zeros(b))
+
+
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     params = {
@@ -221,6 +227,12 @@ def test_op_backward_matches_finite_differences(name, fn, shapes):
         rng = np.random.default_rng(seed)
         params = {k: _random_tensor(rng, s) for k, s in shapes.items()}
         assert grad_check(fn, params) <= 1e-4, f"{name} failed at seed {seed}"
+
+
+def test_unknown_precision_rejected():
+    with pytest.raises(ValueError, match="unknown dtype 'f16'"):
+        with precision("f16"):
+            pass
 
 
 def test_no_grad_and_precision_are_per_thread():

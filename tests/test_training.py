@@ -147,6 +147,12 @@ class TestMaskedGatedLoss:
         assert (grad[mask == 0.0] == 0.0).all()
         assert np.abs(grad[mask == 1.0]).max() > 0.0
 
+    def test_eta_outside_unit_interval_rejected(self):
+        loss, mask = self._loss_and_mask()
+        for eta in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="eta must lie in"):
+                masked_gated_loss(loss, mask, eta, np.random.default_rng(0))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mask shape"):
             masked_gated_loss(Tensor(np.zeros((2, 2, 2, 3))), np.zeros((3, 2, 2)),
@@ -284,7 +290,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field,value", [
         ("lr", -1.0), ("lr", float("nan")), ("lr", float("inf")), ("batch_size", 0),
-        ("steps_clip", -3), ("steps_frame", -1)])
+        ("steps_clip", -3), ("steps_frame", -1), ("eta", -0.1), ("eta", 1.5),
+        ("dropout_audio", 1.2), ("dropout_identity", -0.1), ("dropout_reference", 2.0)])
     def test_impossible_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
