@@ -9,12 +9,11 @@ conditions on), and the dynamics pair is the mean absolute inter-frame
 pixel difference inside / outside the foreground mask.
 
 `evaluate_model` samples the clips in `eval_workers` forked processes,
-which inherit the state unpickled, when the BLAS threads leave more than
-one CPU share (say, `OPENBLAS_NUM_THREADS=1` on two cores), else in-process;
-threads would not overlap, as the sampler holds the GIL. The caller scores
-each clip in order as it arrives, so rows are byte-identical either way.
-A worker killed mid-eval (say, by the OOM killer) fails the eval with
-`BrokenProcessPool`, and no worker is left running.
+one per usable CPU, which inherit the state unpickled and pin their BLAS
+to one thread; threads would not overlap, as the sampler holds the GIL.
+The caller scores each clip in order as it arrives, so rows are
+byte-identical either way. A worker killed mid-eval (say, by the OOM
+killer) fails the eval with `BrokenProcessPool`, and no worker is left running.
 """
 
 from __future__ import annotations
@@ -133,25 +132,25 @@ def mask_bounding_box(mask: np.ndarray) -> Tuple[int, int, int, int]:
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
+def _blas_thread_setter():
+    """numpy's OpenBLAS `set_num_threads(int)`, found through the linalg
+    extension that links it, or None under a BLAS without that symbol."""
+    import ctypes
+    linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    if hasattr(linalg, "scipy_openblas_set_num_threads64_"):
+        return ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", linalg))
+
+
 def eval_workers(clips: int) -> int:
-    """Sampler processes for `clips` clips: usable CPUs // BLAS threads per
-    process, where unset BLAS variables mean OpenBLAS's one per CPU."""
+    """Sampler processes for `clips` clips: one per usable CPU when each
+    forked worker can pin its own BLAS to one thread, else 1 (in-process)."""
+    import multiprocessing
+    if _blas_thread_setter() is None or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return min(clips, len(os.sched_getaffinity(0)))
     except AttributeError:
-        cpus = os.cpu_count() or 1
-    blas = cpus
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdecimal() and int(value) > 0:
-            blas = int(value)
-            break
-    workers = min(clips, cpus // blas)
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return workers
-    return 1
+        return min(clips, os.cpu_count() or 1)
 
 
 _WORKER_STATE = None
@@ -160,6 +159,7 @@ _WORKER_STATE = None
 def _adopt_state(state) -> None:
     global _WORKER_STATE
     _WORKER_STATE = state
+    _blas_thread_setter()(1)
 
 
 def _sample_clip(job):

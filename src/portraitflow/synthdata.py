@@ -50,6 +50,10 @@ class SynthConfig:
                 raise TypeError(f"{f.name} must be an int, got {value!r}")
             if value < 1:
                 raise ValueError(f"{f.name} must be at least 1, got {value}")
+        r0, r1, c0, c1 = self.layout()["mouth"]
+        if r0 == r1 or c0 == c1:
+            raise ValueError(f"a {self.height}x{self.width} frame leaves the mouth box "
+                             "empty: height and width must be at least 4")
 
     def layout(self) -> Dict[str, Tuple]:
         """Pixel-space scene layout, proportional to the frame size."""

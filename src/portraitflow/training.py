@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -382,6 +383,9 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
             reports.append(report)
             log.write(report.to_json() + "\n")
             if state.step == train.steps_clip and train.steps_clip > 0:
+                # a resume from this checkpoint keeps the log's lines on disk
+                log.flush()
+                os.fsync(log.fileno())
                 path = out_dir / "checkpoint_clip.pfck"
                 save_checkpoint(path, state)
                 artifacts["clip"] = path

@@ -2,14 +2,20 @@
 
 import dataclasses
 import io
+import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import portraitflow
 from portraitflow.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
@@ -29,6 +35,30 @@ from portraitflow.training import (
     train_step,
 )
 from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
+
+# a two-stage run of the TrainConfig fields in argv[2] into argv[1] that dies
+# at step 12, two steps after the clip checkpoint, with no chance to flush (as
+# a SIGKILL would)
+KILLED_RUN = """
+import json, os, sys
+from portraitflow import training
+from portraitflow.synthdata import generate_sample, make_corpus_specs
+from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
+
+train_step = training.train_step
+
+
+def die_at_step_12(state, data, step):
+    if step == 12:
+        os._exit(3)
+    return train_step(state, data, step)
+
+
+training.train_step = die_at_step_12
+samples = [generate_sample(s, TINY_SYNTH) for s in make_corpus_specs(5, 3, TINY_SYNTH)]
+training.run_two_stage(samples, TINY_DIT, TINY_ENC,
+                       training.TrainConfig(**json.loads(sys.argv[2])), sys.argv[1])
+"""
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +159,20 @@ class TestResume:
         rows = [json.loads(line) for line in artifacts["log"].read_text().splitlines()]
         assert [r["step"] for r in rows] == list(range(cfg.total_steps))
         assert [r["loss"] for r in rows] == [r.loss for r in full_reports]
+
+    def test_resume_after_a_hard_kill_logs_each_step_once(self, tiny_samples, tmp_path):
+        # a log left in its write buffer lost steps 0-9 to the kill for good
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(portraitflow.__file__).parents[1]), str(Path(__file__).parent)]))
+        cfg = TrainConfig(steps_clip=10, steps_frame=10, batch_size=2, seed=9)
+        run = subprocess.run([sys.executable, "-c", KILLED_RUN, str(tmp_path),
+                              json.dumps(dataclasses.asdict(cfg))], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 3, run.stderr
+        run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path,
+                      state=load_checkpoint(tmp_path / "checkpoint_clip.pfck"))
+        rows = [json.loads(line) for line in (tmp_path / "loss_log.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in rows] == list(range(cfg.total_steps))
 
     @pytest.mark.parametrize("bad", ["{}", '{"step": "x"}', "not json"])
     def test_resume_rejects_an_unreadable_kept_log_line(self, tiny_samples, tmp_path, bad):

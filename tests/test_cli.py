@@ -373,8 +373,9 @@ def test_eval_count_outside_corpus_rejected(workspace, capsys, count):
 
 @pytest.mark.parametrize("flags, named", [
     (["--identities", "0"], "identities"), (["--frames", "0"], "frames"),
-    (["--size", "0"], "height"), (["--count", "-2"], "count"), (["--count", "0"], "count"),
-], ids=["identities 0", "frames 0", "size 0", "count -2", "count 0"])
+    (["--size", "0"], "height"), (["--size", "3"], "mouth box"),
+    (["--count", "-2"], "count"), (["--count", "0"], "count"),
+], ids=["identities 0", "frames 0", "size 0", "size 3", "count -2", "count 0"])
 def test_gen_data_rejects_empty_sizes(capsys, tmp_path, flags, named):
     out = tmp_path / "data"
     assert main(["gen-data", "--out", str(out), "--count", "2", *flags]) == 2

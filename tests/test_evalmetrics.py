@@ -1,6 +1,7 @@
 """Proxy metric unit behavior, and `evaluate_model` on one and on two
 sampler processes."""
 
+import ctypes
 import dataclasses
 import json
 import multiprocessing
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portraitflow import sampling
+from portraitflow import evalmetrics, sampling
 from portraitflow.evalmetrics import (
     MetricReport,
     aggregate_reports,
@@ -27,6 +28,12 @@ from portraitflow.evalmetrics import (
 )
 
 REGION = (2, 6, 2, 6)
+
+# numpy's bundled OpenBLAS, reached through the linalg extension that links it
+_OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+blas_threads = ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", _OPENBLAS))
+set_blas_threads = ctypes.CFUNCTYPE(None, ctypes.c_int)(
+    ("scipy_openblas_set_num_threads64_", _OPENBLAS))
 
 # evaluate_model on two forked workers, one of which is SIGKILLed by its
 # own job (as the OOM killer would); prints the error raised and the
@@ -227,6 +234,17 @@ class TestReporting:
         assert "sync_r" in table and "bd" in table
 
 
+_SAMPLE_CLIP = evalmetrics._sample_clip
+
+
+def sample_clip_on_one_blas_thread(job):
+    """`evalmetrics._sample_clip`, failing in a worker that runs more than
+    one BLAS thread (a module-level function, so a pool can send it)."""
+    if blas_threads() != 1:
+        raise RuntimeError(f"the worker runs {blas_threads()} BLAS threads")
+    return _SAMPLE_CLIP(job)
+
+
 class TestWorkers:
     CFG = sampling.SampleConfig(steps=3, seed=5, mode="frame")
 
@@ -246,9 +264,14 @@ class TestWorkers:
         report, rows = evaluate_model(tiny_state[0], clips, TestWorkers.CFG)
         return report.to_json() + json.dumps(rows)
 
-    def test_two_workers_match_one_byte_for_byte(self, tiny_state, parent_calls,
-                                                 monkeypatch):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    @pytest.fixture
+    def parent_blas_threads(self):
+        """Sets this process's BLAS thread count for one test."""
+        before = blas_threads()
+        yield set_blas_threads
+        set_blas_threads(before)
+
+    def assert_pool_matches_in_process(self, monkeypatch, tiny_state, parent_calls):
         clips = tiny_state[1][:3]
         pooled = self.evaluate(monkeypatch, tiny_state, clips, cpus=2)
         assert len(parent_calls) == 0
@@ -256,18 +279,37 @@ class TestWorkers:
         assert self.evaluate(monkeypatch, tiny_state, clips, cpus=1) == pooled
         assert len(parent_calls) == 3
 
-    def test_unpinned_blas_keeps_eval_in_process(self, tiny_state, parent_calls,
-                                                 monkeypatch):
-        # OpenBLAS runs one thread per CPU when unpinned: two forked workers
-        # on two CPUs would each run two BLAS threads (2.9 s -> 12.6 s)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    def test_two_workers_match_one_byte_for_byte(self, tiny_state, parent_calls,
+                                                 parent_blas_threads, monkeypatch):
+        parent_blas_threads(1)
+        self.assert_pool_matches_in_process(monkeypatch, tiny_state, parent_calls)
+
+    def test_unpinned_blas_forks_and_matches_in_process(self, tiny_state, parent_calls,
+                                                        parent_blas_threads, monkeypatch):
+        # OpenBLAS runs one thread per CPU when unpinned; each worker pins
+        # itself, and the caller's threads are left alone
+        parent_blas_threads(2)
+        self.assert_pool_matches_in_process(monkeypatch, tiny_state, parent_calls)
+        assert blas_threads() == 2
+
+    def test_forked_worker_runs_one_blas_thread(self, tiny_state, parent_calls,
+                                                parent_blas_threads, monkeypatch):
+        # two workers on two CPUs that each ran two BLAS threads took 12.6 s
+        # against 2.9 s in-process
+        parent_blas_threads(2)
+        monkeypatch.setattr(evalmetrics, "_sample_clip", sample_clip_on_one_blas_thread)
+        self.evaluate(monkeypatch, tiny_state, tiny_state[1][:2], cpus=2)
+        assert len(parent_calls) == 0
+
+    def test_without_a_blas_thread_setter_eval_stays_in_process(self, tiny_state,
+                                                               parent_calls, monkeypatch):
+        # a worker that cannot pin its BLAS would oversubscribe the CPUs
+        monkeypatch.setattr(evalmetrics, "_blas_thread_setter", lambda: None)
         self.evaluate(monkeypatch, tiny_state, tiny_state[1][:3], cpus=2)
         assert len(parent_calls) == 3
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_worker_error_reaches_the_caller(self, tiny_state, monkeypatch, cpus):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         clips = list(tiny_state[1][:3])
         envelope = clips[1].envelope.copy()
         envelope[3] = np.nan
@@ -279,7 +321,7 @@ class TestWorkers:
     def test_killed_worker_fails_the_eval_and_leaves_no_child(self):
         # the script runs in a session of its own, so a hung eval is killed
         # together with its workers when the timeout expires
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(Path(sampling.__file__).parents[1]), str(Path(__file__).parent)]))
         proc = subprocess.Popen([sys.executable, "-c", KILLED_WORKER], env=env, text=True,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,

@@ -82,3 +82,17 @@ def test_src_raises_no_assertion_error():
                     and "AssertionError" in _names(node.exc)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_src_reads_no_environment_variable():
+    # every input is a config key or a flag, which the run record holds; a
+    # variable in the caller's environment would select behaviour unrecorded
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in readers or (
+                    isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and readers & {alias.name for alias in node.names}):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -133,11 +133,17 @@ class TestGenerateSample:
         with pytest.raises(ValueError, match="envelope"):
             spec_with(envelope=envelope)
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SynthConfig)])
-    def test_config_size_below_one_rejected(self, field):
-        # at envelope_samples 0, generation died inside numpy
-        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
-            SynthConfig(**{field: 0})
+    @pytest.mark.parametrize("sizes, message", [
+        *[pytest.param({f.name: 0}, f"{f.name} must be at least 1", id=f.name)
+          for f in dataclasses.fields(SynthConfig)],
+        pytest.param({"height": 3}, "mouth box", id="height 3"),
+        pytest.param({"width": 3}, "mouth box", id="width 3"),
+    ])
+    def test_config_size_below_one_rejected(self, sizes, message):
+        # at envelope_samples 0, generation died inside numpy; at a frame
+        # side of 3 the mouth box rounded to no pixel and every lip mask was 0
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**sizes)
 
 
 class TestIdentitySeparation:

@@ -25,9 +25,9 @@ loss as `bench/run.py` counts them, and the `model_forward` calls each
 `sample()` makes. Last it prints three lines that are not hashed: the
 memory each train step's forward left allocated when `backward()` began
 (tracemalloc, started afresh for each step: the graph and the batch), the
-sampler processes the eval ran on (`evalmetrics.eval_workers`, which
-follows the BLAS thread variables, so run it under `OPENBLAS_NUM_THREADS=1`
-and unpinned to hash both eval paths), and the line count of the `.py`
+sampler processes the eval ran on (`evalmetrics.eval_workers`, one per
+usable CPU, so run it as is and limited to one CPU, e.g. under
+`taskset -c 0`, to hash both eval paths), and the line count of the `.py`
 files under SRC_DIR/portraitflow (as `wc -l` counts them).
 """
 
