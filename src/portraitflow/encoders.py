@@ -15,8 +15,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .motion import dense
-from .numerics import RngState, Tensor, attention
+from .numerics import RngState, Tensor, attention, dense
 
 
 @dataclass(frozen=True)

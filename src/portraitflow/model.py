@@ -8,11 +8,10 @@ the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
 and only each frame's own audio segment in "frame" mode.
 
-Each tensor's name and shape is written once, in `param_shapes`, and each
-linear layer is read by its weight's name with `motion.dense`. One init
-rule (`motion.init_params`): each bias, `ZERO_INIT` head and `motion.expand.w`
-starts at zero, so the network begins as (almost) the identity map with zero
-velocity; every other tensor is `rng.normal(tag, name) * INIT_SCALE`.
+Each tensor's name and shape is written once, in `param_shapes`, each linear
+layer is read by its weight's name with `numerics.dense`, and `numerics.init_params`
+starts each bias, `ZERO_INIT` head and `motion.expand.w` at zero, so the network
+begins as (almost) the identity map with zero velocity.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import numpy as np
 
 from .alignment import AudioVideoMap, segment_audio
 from .encoders import EncoderConfig
-from .motion import bias_name, dense, init_motion_params, init_params, motion_embed
-from .numerics import RngState, Tensor, attention, layer_norm, silu
+from .motion import init_motion_params, motion_embed
+from .numerics import RngState, Tensor, attention, bias_name, dense, init_params, layer_norm, silu
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
 

@@ -9,11 +9,11 @@ added onto the timestep embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .numerics import RngState, Tensor, linear, silu
+from .numerics import RngState, Tensor, bias_name, dense, init_params, silu
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ def compute_coefficient(seq: np.ndarray, norm: MotionNorm) -> float:
 # conditioning network
 
 EXPANSION = 4  # length-axis expansion pooled back down to one vector
-INIT_SCALE = 0.02  # std of every random weight `init_params` draws
 
 
 def motion_param_shapes(width: int) -> Iterator[Tuple[str, Tuple[int, ...]]]:
@@ -59,30 +58,6 @@ def motion_param_shapes(width: int) -> Iterator[Tuple[str, Tuple[int, ...]]]:
                                ("motion.expand.w", width, EXPANSION * width)):
         yield w, (fan_in, fan_out)
         yield bias_name(w), (fan_out,)
-
-
-def bias_name(weight: str) -> str:
-    """The bias of the linear layer whose weight is `weight`: `x.w` has
-    `x.b`, `x.wk` has `x.wk_b`."""
-    return weight[:-1] + "b" if weight.endswith(".w") else weight + "_b"
-
-
-def dense(x: Tensor, params: Dict[str, Tensor], weight: str) -> Tensor:
-    """The linear layer `params[weight]`, with its bias `bias_name(weight)`."""
-    return linear(x, params[weight], params[bias_name(weight)])
-
-
-def init_params(shapes: Iterable[Tuple[str, Tuple[int, ...]]], rng: RngState, tag: str,
-                zero: Tuple[str, ...] = ()) -> Dict[str, Tensor]:
-    """The one init rule of the trainable tensors: a bias (the `bias_name` of
-    a name in `shapes`) or a name ending in one of `zero` starts at zero; any
-    other is `rng.normal(tag, name) * INIT_SCALE`, `name` without `tag.`."""
-    shapes = dict(shapes)
-    biases = {bias_name(name) for name in shapes}
-    return {name: Tensor(np.zeros(shape) if name in biases or name.endswith(zero) else
-                         rng.normal(tag, name.removeprefix(f"{tag}."), size=shape) * INIT_SCALE,
-                         requires_grad=True)
-            for name, shape in shapes.items()}
 
 
 def init_motion_params(width: int, rng: RngState,

@@ -1,18 +1,20 @@
 """Differentiable building blocks: softmax, linear, layer norm, attention, silu.
 
-All operations act on the trailing axis (or trailing two axes for
-attention) and broadcast over any leading batch axes.
+The ops act on the trailing axis (two for attention) and broadcast over leading axes;
+`dense`, `bias_name` and `init_params` are the rule every trainable layer follows.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .rng import RngState
 from .tensor import Tensor, _targets, _unbroadcast
 
 LAYER_NORM_EPS = 1e-5
+INIT_SCALE = 0.02  # std of every random weight `init_params` draws
 
 
 def _softmax_inplace(scores: np.ndarray, axis: int) -> np.ndarray:
@@ -71,6 +73,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             tb._accumulate(g2.sum(axis=0))
 
     return Tensor._result(out_data, (tx, tw, tb), backward)
+
+
+def bias_name(weight: str) -> str:
+    """The bias of the linear layer whose weight is `weight`: `x.w` has
+    `x.b`, `x.wk` has `x.wk_b`."""
+    return weight[:-1] + "b" if weight.endswith(".w") else weight + "_b"
+
+
+def dense(x: Tensor, params: Dict[str, Tensor], weight: str) -> Tensor:
+    """The linear layer `params[weight]`, with its bias `bias_name(weight)`."""
+    return linear(x, params[weight], params[bias_name(weight)])
+
+
+def init_params(shapes: Iterable[Tuple[str, Tuple[int, ...]]], rng: RngState, tag: str,
+                zero: Tuple[str, ...] = ()) -> Dict[str, Tensor]:
+    """The one init rule of the trainable tensors: a bias (the `bias_name` of
+    a name in `shapes`) or a name ending in one of `zero` starts at zero; any
+    other is `rng.normal(tag, name) * INIT_SCALE`, `name` without `tag.`."""
+    shapes = dict(shapes)
+    biases = {bias_name(name) for name in shapes}
+    return {name: Tensor(np.zeros(shape) if name in biases or name.endswith(zero) else
+                         rng.normal(tag, name.removeprefix(f"{tag}."), size=shape) * INIT_SCALE,
+                         requires_grad=True)
+            for name, shape in shapes.items()}
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:

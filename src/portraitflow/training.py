@@ -182,6 +182,7 @@ class Adam:
             if p.grad is None:
                 continue
             g = np.asarray(p.grad, dtype=np.float32)
+            p.grad = None  # consumed: the next backward starts from none
             if name not in self.m:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
@@ -193,10 +194,6 @@ class Adam:
             v *= self.BETA2
             v += (1.0 - self.BETA2) * g * g
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
-
-    def zero_grad(self, params: Dict[str, Tensor]) -> None:
-        for p in params.values():
-            p.grad = None
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +327,6 @@ def train_step(state: TrainerState, data: TrainingTensors, step: int) -> LossRep
 
     loss.backward()
     state.opt.step(state.params)
-    state.opt.zero_grad(state.params)
     state.step = step + 1
     return LossReport(step=step, stage=stage, loss=loss_value, gate=outcome)
 
@@ -342,10 +338,10 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     """Run (or resume) the clip stage followed by the frame stage.
 
     Emits a checkpoint at the stage boundary and at the end, plus a
-    newline-delimited loss log. The log keeps only the lines already in
-    it for steps before `state.step`, so a resumed run into the same
-    directory logs each step once; a fresh run does not read an old log,
-    and a resumed run rejects a kept line with no integer step. Returns
+    newline-delimited loss log. A resume keeps the log's leading lines for
+    steps before `state.step` on disk, cuts the rest and appends, so each
+    step is logged once; a fresh run does not read an old log, and a kept
+    line with no integer step fails the resume before the log is cut. Returns
     the final state, the reports from this call, and the checkpoint
     paths. A resumed `state` must hold the configs given.
     """
@@ -363,21 +359,23 @@ def run_two_stage(samples: Sequence, dit: DiTConfig, enc: EncoderConfig,
     artifacts: Dict[str, Path] = {}
     reports: List[LossReport] = []
     log_path = out_dir / "loss_log.jsonl"
-    earlier = []
+    kept = 0  # bytes of the log's leading lines before `state.step`, left on disk
     if state.step and log_path.exists():  # a fresh run keeps nothing of an old log
-        for lineno, line in enumerate(log_path.read_text().splitlines(keepends=True), 1):
-            if not line.endswith("\n"):  # cut by a crash: dropped
-                continue
-            try:
-                logged = json.loads(line)["step"]
-            except (ValueError, KeyError, TypeError):
-                logged = None
-            if type(logged) is not int:
-                raise ValueError(f"{log_path} line {lineno}: no integer loss-log step")
-            if logged < state.step:
-                earlier.append(line)
-    with open(log_path, "w") as log:
-        log.writelines(earlier)
+        with open(log_path, "rb") as old:
+            for lineno, line in enumerate(old, 1):
+                if not line.endswith(b"\n"):  # cut by a crash: dropped
+                    break
+                try:
+                    logged = json.loads(line)["step"]
+                except (ValueError, KeyError, TypeError):
+                    logged = None
+                if type(logged) is not int:
+                    raise ValueError(f"{log_path} line {lineno}: no integer loss-log step")
+                if logged >= state.step:
+                    break
+                kept += len(line)
+        os.truncate(log_path, kept)
+    with open(log_path, "a" if state.step else "w") as log:
         for step in range(state.step, train.total_steps):
             report = train_step(state, data, step)
             reports.append(report)

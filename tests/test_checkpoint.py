@@ -37,27 +37,31 @@ from portraitflow.training import (
 from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
 
 # a two-stage run of the TrainConfig fields in argv[2] into argv[1] that dies
-# at step 12, two steps after the clip checkpoint, with no chance to flush (as
-# a SIGKILL would)
+# at step argv[3] (default 12, two steps after the clip checkpoint), with no
+# chance to flush (as a SIGKILL would); given argv[4], it resumes from that
+# checkpoint
 KILLED_RUN = """
 import json, os, sys
 from portraitflow import training
+from portraitflow.checkpoint import load_checkpoint
 from portraitflow.synthdata import generate_sample, make_corpus_specs
 from tiny_configs import TINY_DIT, TINY_ENC, TINY_SYNTH
 
 train_step = training.train_step
+die_at = int(sys.argv[3]) if len(sys.argv) > 3 else 12
+resume = load_checkpoint(sys.argv[4]) if len(sys.argv) > 4 else None
 
 
-def die_at_step_12(state, data, step):
-    if step == 12:
+def die_at_step(state, data, step):
+    if step == die_at:
         os._exit(3)
     return train_step(state, data, step)
 
 
-training.train_step = die_at_step_12
+training.train_step = die_at_step
 samples = [generate_sample(s, TINY_SYNTH) for s in make_corpus_specs(5, 3, TINY_SYNTH)]
 training.run_two_stage(samples, TINY_DIT, TINY_ENC,
-                       training.TrainConfig(**json.loads(sys.argv[2])), sys.argv[1])
+                       training.TrainConfig(**json.loads(sys.argv[2])), sys.argv[1], resume)
 """
 
 
@@ -172,6 +176,26 @@ class TestResume:
         run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path,
                       state=load_checkpoint(tmp_path / "checkpoint_clip.pfck"))
         rows = [json.loads(line) for line in (tmp_path / "loss_log.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in rows] == list(range(cfg.total_steps))
+
+    def test_resume_killed_before_its_first_flush_keeps_the_logged_steps(self, tiny_samples,
+                                                                          tmp_path):
+        # a resume that rewrote the kept lines through its write buffer left
+        # an empty log when killed before the buffer's first flush
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(portraitflow.__file__).parents[1]), str(Path(__file__).parent)]))
+        cfg = TrainConfig(steps_clip=10, steps_frame=10, batch_size=2, seed=9)
+        log = tmp_path / "loss_log.jsonl"
+        for kill in (["12"], ["11", str(tmp_path / "checkpoint_clip.pfck")]):
+            run = subprocess.run([sys.executable, "-c", KILLED_RUN, str(tmp_path),
+                                  json.dumps(dataclasses.asdict(cfg)), *kill], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 3, run.stderr
+            assert [json.loads(line)["step"] for line in log.read_text().splitlines()] \
+                == list(range(cfg.steps_clip))
+        run_two_stage(tiny_samples, TINY_DIT, TINY_ENC, cfg, tmp_path,
+                      state=load_checkpoint(tmp_path / "checkpoint_clip.pfck"))
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["step"] for r in rows] == list(range(cfg.total_steps))
 
     @pytest.mark.parametrize("bad", ["{}", '{"step": "x"}', "not json"])

@@ -52,7 +52,7 @@ def test_dense_is_the_only_caller_of_linear():
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             callers += [(path.name, getattr(node, "name", None)) for call in ast.walk(node)
                         if isinstance(call, ast.Call) and "linear" in _names(call.func)]
-    assert callers == [("motion.py", "dense")]
+    assert callers == [("functional.py", "dense")]
 
 
 def test_every_src_definition_has_a_src_user():

@@ -20,8 +20,8 @@ from portraitflow.model import (
     sinusoidal_features,
     timestep_embedding,
 )
-from portraitflow.motion import bias_name, motion_param_shapes
-from portraitflow.numerics import RngState, Tensor, attention, grad_check
+from portraitflow.motion import motion_param_shapes
+from portraitflow.numerics import RngState, Tensor, attention, bias_name, grad_check
 from tiny_configs import TINY_DIT as TINY
 
 

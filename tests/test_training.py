@@ -265,6 +265,15 @@ class TestAdam:
         assert "b" not in opt.m and "b" not in opt.v
         assert "a" in opt.m and not np.array_equal(params["a"].data, np.ones(3))
 
+    def test_step_consumes_every_gradient_it_applies(self):
+        # so the next backward accumulates into no stale gradient
+        params = {n: Tensor(np.ones(3), requires_grad=True) for n in ("a", "b", "c")}
+        for n in ("a", "b"):
+            params[n].grad = np.full(3, 2.0, dtype=np.float32)
+        Adam(0.1).step(params)
+        assert all(p.grad is None for p in params.values())
+        assert not np.array_equal(params["a"].data, np.ones(3))
+
     def test_descends_a_quadratic(self):
         params = {"w": Tensor(np.array([5.0]), requires_grad=True)}
         opt = Adam(0.1)
