@@ -3,11 +3,10 @@
 One `section.key = value` pair per line; `#` starts a comment. The
 schema is derived from the three config dataclasses (sections "dit",
 "enc", "train"), so every key has a declared type and unknown keys are
-rejected. The encoder config owns the latent geometry: the DiT fields
-it implies (`model.ENCODER_GEOMETRY`, and `head_dim`, which is
-`width / heads`) are derived, not settable, so every key has more than
-one legal value. Floats are written with repr, which round-trips
-exactly. Environment variables are never consulted.
+rejected. The DiT fields with no default (the encoder geometry and
+`head_dim`) are derived by `DiTConfig.for_encoders`, not set, so every
+key has more than one legal value. Floats are written with repr, which
+round-trips exactly. Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -16,19 +15,18 @@ import dataclasses
 from typing import Dict, Mapping, Tuple
 
 from .encoders import EncoderConfig
-from .model import ENCODER_GEOMETRY, DiTConfig
+from .model import DiTConfig
 from .training import TrainConfig
 
 SECTIONS = {"dit": DiTConfig, "enc": EncoderConfig, "train": TrainConfig}
 
 
 def config_schema() -> Dict[str, type]:
-    """Each settable `section.key` and its type: every config field but the
-    DiT fields `flat_to_configs` derives."""
-    derived = {*ENCODER_GEOMETRY, "head_dim"}
+    """Each settable `section.key` and its type: every config field with a
+    default (the DiT fields with none are derived)."""
     return {f"{section}.{field.name}": {"int": int, "float": float}[field.type]
             for section, cls in SECTIONS.items() for field in dataclasses.fields(cls)
-            if section != "dit" or field.name not in derived}
+            if field.default is not dataclasses.MISSING}
 
 
 def format_value(value) -> str:
@@ -75,17 +73,11 @@ def configs_to_flat(dit: DiTConfig, enc: EncoderConfig,
 
 def flat_to_configs(flat: Dict[str, object]
                     ) -> Tuple[DiTConfig, EncoderConfig, TrainConfig]:
-    """Build (dit, enc, train): the DiT geometry comes from the encoder
-    config and `head_dim` from `width / heads`."""
+    """Build (dit, enc, train); the DiT's derived fields come from the
+    encoder config through `DiTConfig.for_encoders`."""
     def section(name: str) -> Dict[str, object]:
         return {k.split(".", 1)[1]: v for k, v in flat.items()
                 if k.startswith(name + ".")}
 
     enc = EncoderConfig(**section("enc"))
-    dit_kwargs = section("dit")
-    width = dit_kwargs.get("width", DiTConfig.width)
-    heads = dit_kwargs.get("heads", DiTConfig.heads)
-    if heads < 1 or width % heads:
-        raise ValueError(f"width {width} not divisible by heads {heads}")
-    dit = DiTConfig.for_encoders(enc, head_dim=width // heads, **dit_kwargs)
-    return dit, enc, TrainConfig(**section("train"))
+    return DiTConfig.for_encoders(enc, **section("dit")), enc, TrainConfig(**section("train"))

@@ -9,8 +9,9 @@ conditions on), and the dynamics pair is the mean absolute inter-frame
 pixel difference inside / outside the foreground mask.
 
 `evaluate_model` samples the clips in `eval_workers` forked processes,
-one per usable CPU, which inherit the state unpickled and pin their BLAS
-to one thread; threads would not overlap, as the sampler holds the GIL.
+one per usable CPU, which inherit the state unpickled and a BLAS pinned
+to one thread (the caller's count is restored once they have forked);
+threads would not overlap, as the sampler holds the GIL.
 The caller scores each clip in order as it arrives, so rows are
 byte-identical either way. A worker killed mid-eval (say, by the OOM
 killer) fails the eval with `BrokenProcessPool`, and no worker is left running.
@@ -133,17 +134,23 @@ def mask_bounding_box(mask: np.ndarray) -> Tuple[int, int, int, int]:
 
 
 def _blas_thread_setter():
-    """numpy's OpenBLAS `set_num_threads(int)`, found through the linalg
-    extension that links it, or None under a BLAS without that symbol."""
+    """numpy's OpenBLAS `set_num_threads(int)`, wrapped to return the count it
+    replaced; found through the linalg extension that links it, or None."""
     import ctypes
     linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     if hasattr(linalg, "scipy_openblas_set_num_threads64_"):
-        return ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", linalg))
+        get = ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", linalg))
+        put = ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", linalg))
+        def set_threads(threads: int) -> int:
+            before = get()
+            put(threads)
+            return before
+        return set_threads
 
 
 def eval_workers(clips: int) -> int:
-    """Sampler processes for `clips` clips: one per usable CPU when each
-    forked worker can pin its own BLAS to one thread, else 1 (in-process)."""
+    """Sampler processes for `clips` clips: one per usable CPU when its forked
+    workers can inherit a BLAS pinned to one thread, else 1 (in-process)."""
     import multiprocessing
     if _blas_thread_setter() is None or "fork" not in multiprocessing.get_all_start_methods():
         return 1
@@ -159,7 +166,6 @@ _WORKER_STATE = None
 def _adopt_state(state) -> None:
     global _WORKER_STATE
     _WORKER_STATE = state
-    _blas_thread_setter()(1)
 
 
 def _sample_clip(job):
@@ -188,7 +194,14 @@ def evaluate_model(state, samples: Sequence, sample_cfg) -> Tuple[MetricReport, 
             # dies (say, an OOM kill) and raises BrokenProcessPool
             pool = ProcessPoolExecutor(workers, get_context("fork"), _adopt_state, (state,))
             stack.callback(pool.shutdown, cancel_futures=True)
-            videos = pool.map(_sample_clip, jobs)
+            # the workers, all forked at the first submit (inside `map`), inherit
+            # one BLAS thread: a forked OpenBLAS that sets its own starts an idle one
+            set_blas_threads = _blas_thread_setter()
+            before = set_blas_threads(1)
+            try:
+                videos = pool.map(_sample_clip, jobs)
+            finally:
+                set_blas_threads(before)
         else:
             videos = (sampling.sample(*job, state) for job in jobs)
         for i, (item, (video, info)) in enumerate(zip(samples, videos)):

@@ -8,9 +8,10 @@ the block's own query projection on the running hidden state, and (3) a
 gated MLP branch. Audio keys/values cover the whole clip in "clip" mode
 and only each frame's own audio segment in "frame" mode.
 
-Each tensor's name and shape is written once, in `param_shapes`, each linear
-layer is read by its weight's name with `numerics.dense`, and `numerics.init_params`
-starts each bias, `ZERO_INIT` head and `motion.expand.w` at zero, so the network
+Each size is derived once, by `DiTConfig.for_encoders`, each tensor's name
+and shape is written once, in `param_shapes`, each linear layer is read by
+its weight's name with `numerics.dense`, and `numerics.init_params` starts
+each bias, `ZERO_INIT` head and `motion.expand.w` at zero, so the network
 begins as (almost) the identity map with zero velocity.
 """
 
@@ -30,30 +31,28 @@ from .numerics import RngState, Tensor, attention, bias_name, dense, init_params
 
 TIME_SCALE = 1000.0  # t in [0,1] is stretched before the sinusoids
 
-# DiT field -> the `EncoderConfig` property it is derived from
-ENCODER_GEOMETRY = {"audio_width": "audio_width", "audio_tokens": "audio_tokens",
-                    "latent_frames": "latent_frames", "latent_h": "latent_h",
-                    "latent_w": "latent_w", "latent_width": "latent_width",
-                    "ref_channels": "latent_width", "id_feat_width": "id_feat_width"}
+# the DiT fields `for_encoders` reads from the `EncoderConfig` property of that
+# name; they and `head_dim` have no default, so only the DiT's own knobs do
+ENCODER_GEOMETRY = ("audio_width", "audio_tokens", "latent_frames", "latent_h",
+                    "latent_w", "latent_width", "id_feat_width")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DiTConfig:
     depth: int = 4
     width: int = 64
     heads: int = 4
-    head_dim: int = 16
+    head_dim: int
     n_id: int = 4
     lambda_audio: float = 1.0
     lambda_identity: float = 0.5
-    audio_width: int = 32
-    audio_tokens: int = 32
-    latent_frames: int = 8
-    latent_h: int = 4
-    latent_w: int = 4
-    latent_width: int = 192
-    ref_channels: int = 192
-    id_feat_width: int = 16
+    audio_width: int
+    audio_tokens: int
+    latent_frames: int
+    latent_h: int
+    latent_w: int
+    latent_width: int
+    id_feat_width: int
     mlp_ratio: int = 2
 
     def __post_init__(self):
@@ -75,12 +74,23 @@ class DiTConfig:
     def mlp_width(self) -> int:
         return self.width * self.mlp_ratio
 
+    @property
+    def ref_channels(self) -> int:
+        # the reference is the clip's own frame-0 latent
+        return self.latent_width
+
     @staticmethod
-    def for_encoders(enc: EncoderConfig, **overrides) -> "DiTConfig":
-        """The config with its `ENCODER_GEOMETRY` fields read from `enc`;
-        `overrides`, which may name any field, win."""
-        derived = {field: getattr(enc, prop) for field, prop in ENCODER_GEOMETRY.items()}
-        return DiTConfig(**(derived | overrides))
+    def for_encoders(enc: EncoderConfig, **knobs) -> "DiTConfig":
+        """The config `enc` implies: the `ENCODER_GEOMETRY` fields read from
+        `enc`, `head_dim` = `width / heads`, and `knobs` for the DiT's own."""
+        for name in ENCODER_GEOMETRY:
+            if name in knobs:
+                raise ValueError(f"{name} is derived from the encoder config, not set")
+        width, heads = knobs.get("width", DiTConfig.width), knobs.get("heads", DiTConfig.heads)
+        if heads < 1 or width % heads:
+            raise ValueError(f"width {width} not divisible by heads {heads}")
+        derived = {name: getattr(enc, name) for name in ENCODER_GEOMETRY}
+        return DiTConfig(**(derived | {"head_dim": width // heads} | knobs))
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from portraitflow.training import TrainConfig
 
 
 def test_round_trip_preserves_values_exactly():
-    dit = DiTConfig(lambda_identity=0.123456789123456)
     enc = EncoderConfig()
+    dit = DiTConfig.for_encoders(enc, lambda_identity=0.123456789123456)
     train = TrainConfig(lr=3.0000000000000004e-05, seed=42)
     flat = configs_to_flat(dit, enc, train)
     text = dump_flat(flat)
@@ -49,10 +49,20 @@ def test_dit_geometry_derived_from_encoder_keys():
             flat_to_configs({"dit.width": 32, "dit.heads": heads})
 
 
+def test_for_encoders_derives_head_dim_and_round_trips():
+    # `head_dim` follows the final width, not the default one
+    enc = EncoderConfig()
+    dit = DiTConfig.for_encoders(enc, width=32)
+    assert dit.head_dim == 8
+    text = dump_flat(configs_to_flat(dit, enc, TrainConfig()))
+    assert flat_to_configs(parse_flat(text))[0] == dit
+
+
 @pytest.mark.parametrize("key", sorted(k for k in config_schema()
                                        if k.split(".")[0] in SECTIONS))
 def test_every_config_key_round_trips_two_legal_values(key):
-    default = configs_to_flat(DiTConfig(), EncoderConfig(), TrainConfig())[key]
+    enc = EncoderConfig()
+    default = configs_to_flat(DiTConfig.for_encoders(enc), enc, TrainConfig())[key]
     other = (default * 2 or 1) if isinstance(default, int) else default / 2
     for value in (default, other):
         configs = flat_to_configs(parse_flat(f"{key} = {format_value(value)}\n"))
@@ -92,7 +102,8 @@ def test_bool_parsing():
 
 
 def test_schema_covers_all_dataclass_fields():
-    # every enc/train field is settable; every other dit field follows the encoders
+    # every enc/train field is settable; every dit field is a key or is set by
+    # `for_encoders` (so it follows the encoders)
     schema = config_schema()
     for section, cls in (("enc", EncoderConfig), ("train", TrainConfig)):
         for field in dataclasses.fields(cls):
@@ -100,9 +111,10 @@ def test_schema_covers_all_dataclass_fields():
     enc = EncoderConfig(frames=4, patch=4, audio_width=8, id_feat_width=8)
     flat = {f"enc.{name}": value for name, value in dataclasses.asdict(enc).items()}
     dit, _, _ = flat_to_configs({**flat, "dit.width": 32})
+    default = DiTConfig.for_encoders(EncoderConfig())
     for field in dataclasses.fields(DiTConfig):
-        default = getattr(DiTConfig(), field.name)
-        assert f"dit.{field.name}" in schema or getattr(dit, field.name) != default
+        assert (f"dit.{field.name}" in schema
+                or getattr(dit, field.name) != getattr(default, field.name))
 
 
 _KEYS = sorted(config_schema()) + ["train.optimizer", "enc.temporal_stride"]

@@ -245,6 +245,16 @@ def sample_clip_on_one_blas_thread(job):
     return _SAMPLE_CLIP(job)
 
 
+def sample_clip_on_one_os_thread(job):
+    """`evalmetrics._sample_clip`, failing in a worker that runs a second OS
+    thread, such as an idle OpenBLAS server."""
+    result = _SAMPLE_CLIP(job)
+    threads = len(os.listdir("/proc/self/task"))
+    if threads != 1:
+        raise RuntimeError(f"the worker runs {threads} OS threads")
+    return result
+
+
 class TestWorkers:
     CFG = sampling.SampleConfig(steps=3, seed=5, mode="frame")
 
@@ -286,8 +296,8 @@ class TestWorkers:
 
     def test_unpinned_blas_forks_and_matches_in_process(self, tiny_state, parent_calls,
                                                         parent_blas_threads, monkeypatch):
-        # OpenBLAS runs one thread per CPU when unpinned; each worker pins
-        # itself, and the caller's threads are left alone
+        # OpenBLAS runs one thread per CPU when unpinned; the caller runs one
+        # while its workers fork, then gets its own count back
         parent_blas_threads(2)
         self.assert_pool_matches_in_process(monkeypatch, tiny_state, parent_calls)
         assert blas_threads() == 2
@@ -300,6 +310,17 @@ class TestWorkers:
         monkeypatch.setattr(evalmetrics, "_sample_clip", sample_clip_on_one_blas_thread)
         self.evaluate(monkeypatch, tiny_state, tiny_state[1][:2], cpus=2)
         assert len(parent_calls) == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc/self/task")
+    def test_forked_worker_starts_no_idle_blas_thread(self, tiny_state, parent_calls,
+                                                      parent_blas_threads, monkeypatch):
+        # a forked OpenBLAS that sets its own thread count starts a server
+        # thread, which spun 0.13 s of CPU over 0.3 s of idle sleep
+        parent_blas_threads(2)
+        monkeypatch.setattr(evalmetrics, "_sample_clip", sample_clip_on_one_os_thread)
+        self.evaluate(monkeypatch, tiny_state, tiny_state[1][:2], cpus=2)
+        assert len(parent_calls) == 0
+        assert blas_threads() == 2
 
     def test_without_a_blas_thread_setter_eval_stays_in_process(self, tiny_state,
                                                                parent_calls, monkeypatch):

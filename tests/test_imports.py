@@ -55,6 +55,25 @@ def test_dense_is_the_only_caller_of_linear():
     assert callers == [("functional.py", "dense")]
 
 
+def test_only_for_encoders_builds_a_dit_config():
+    # `for_encoders` derives every size the encoder config implies; a
+    # second `DiTConfig(...)` in src/ would be a second source of sizes
+    builders = []
+
+    def visit(node: ast.AST, scope) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "DiTConfig"
+                    or getattr(child.func, "attr", None) == "DiTConfig"):
+                builders.append((path.name, scope))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else scope)
+
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    assert builders == [("model.py", "for_encoders")]
+
+
 def test_every_src_definition_has_a_src_user():
     # a name counts as used when src/ code other than its own definition
     # names it; imports and `__all__` strings are not names

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from portraitflow.alignment import block_mask, segment_audio
+from portraitflow.encoders import EncoderConfig
 from portraitflow.model import (
     ZERO_INIT,
     ConditioningBundle,
@@ -134,7 +135,7 @@ class TestDitBlock:
         assert np.array_equal(out.numpy(), z.numpy())
 
     def test_default_conditioning_weights(self):
-        config = DiTConfig()
+        config = DiTConfig.for_encoders(EncoderConfig())
         assert config.lambda_audio == 1.0
         assert config.lambda_identity == 0.5
 
@@ -245,6 +246,31 @@ class TestConditioningBundle:
         assert dataclasses.replace(bundle, mode="clip", mapping=uneven).mapping == uneven
 
 
+class TestDiTConfig:
+    def test_no_size_has_a_default(self):
+        # a size default would restate `EncoderConfig()`'s, a second source
+        with pytest.raises(TypeError):
+            DiTConfig()
+
+    def test_a_geometry_override_is_rejected_by_name(self):
+        # an override would contradict the encoder that sizes the latents
+        with pytest.raises(ValueError, match="latent_width is derived from the encoder"):
+            DiTConfig.for_encoders(EncoderConfig(), latent_width=5)
+
+    def test_head_dim_follows_width_and_heads(self):
+        enc = EncoderConfig()
+        assert DiTConfig.for_encoders(enc, width=48, heads=3, head_dim=16).head_dim == 16
+        with pytest.raises(ValueError, match="width 48 != heads 3 x head_dim 8"):
+            DiTConfig.for_encoders(enc, width=48, heads=3, head_dim=8)
+        with pytest.raises(ValueError, match="width 48 not divisible by heads 5"):
+            DiTConfig.for_encoders(enc, width=48, heads=5)
+
+    def test_ref_channels_is_the_latent_width(self):
+        # the reference is the clip's own frame-0 latent, so it is not a field
+        assert TINY.ref_channels == TINY.latent_width
+        assert "ref_channels" not in {f.name for f in dataclasses.fields(DiTConfig)}
+
+
 class TestModelForward:
     def test_output_shape_matches_latent_tokens(self, tiny_params):
         bundle = make_bundle(TINY, tiny_params)
@@ -278,7 +304,7 @@ class TestModelForward:
             model_forward(z, 0.5, bundle, tiny_params, TINY)
 
     def test_parameter_count_matches_closed_form(self):
-        for config in (TINY, DiTConfig()):
+        for config in (TINY, DiTConfig.for_encoders(EncoderConfig())):
             params = init_model_params(config, RngState(0))
             assert sum(p.size for p in params.values()) == param_count(config)
 
@@ -286,7 +312,7 @@ class TestModelForward:
         # every tensor is built with its table shape, and is all zeros
         # exactly when it is a bias, a ZERO_INIT head or the motion expansion;
         # the biases, named by `bias_name`, are the table's 1-D tensors
-        for config in (TINY, DiTConfig()):
+        for config in (TINY, DiTConfig.for_encoders(EncoderConfig())):
             params = init_model_params(config, RngState(0))
             table = dict(chain(param_shapes(config), motion_param_shapes(config.width)))
             assert {n: p.shape for n, p in params.items()} == table
